@@ -78,17 +78,11 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 
-	var cacheSize int
-	flag.IntVar(&cacheSize, "cache-size", 4096, "LRU result-cache capacity in entries (default 4096)")
-	flag.IntVar(&cacheSize, "cache", 4096, "alias for -cache-size")
+	cacheSize := flag.Int("cache-size", 4096, "LRU result-cache capacity in entries (default 4096)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent solver computations (default 0 = GOMAXPROCS)")
-	var timeout time.Duration
-	flag.DurationVar(&timeout, "request-timeout", 10*time.Second, "per-request wait bound (default 10s)")
-	flag.DurationVar(&timeout, "timeout", 10*time.Second, "alias for -request-timeout")
+	timeout := flag.Duration("request-timeout", 10*time.Second, "per-request wait bound (default 10s)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain bound (default 15s)")
-	var maxSim int
-	flag.IntVar(&maxSim, "max-simulations", 1_000_000, "cap on the n parameter of /v1/simulate (default 1000000)")
-	flag.IntVar(&maxSim, "max-sim", 1_000_000, "alias for -max-simulations")
+	maxSim := flag.Int("max-simulations", 1_000_000, "cap on the n parameter of /v1/simulate (default 1000000)")
 
 	jobsDir := flag.String("jobs-dir", "", "campaign journal directory; empty disables /v1/jobs")
 	jobsWorkers := flag.Int("jobs-workers", 0, "max concurrently executing campaign shards (default 0 = GOMAXPROCS)")
@@ -246,11 +240,11 @@ func main() {
 	}
 
 	srv := respeed.NewPlanningServer(respeed.ServeOptions{
-		CacheSize:        cacheSize,
+		CacheSize:        *cacheSize,
 		MaxInFlight:      *maxInFlight,
-		RequestTimeout:   timeout,
+		RequestTimeout:   *timeout,
 		DrainTimeout:     *drain,
-		MaxSimulations:   maxSim,
+		MaxSimulations:   *maxSim,
 		Jobs:             manager,
 		Logger:           logger,
 		Registry:         telemetry,
@@ -290,7 +284,7 @@ func main() {
 
 	build := respeed.ReadBuildInfo()
 	logger.Info("serving",
-		"addr", ln.Addr().String(), "cache", cacheSize, "timeout", timeout,
+		"addr", ln.Addr().String(), "cache", *cacheSize, "timeout", *timeout,
 		"version", build.Version, "revision", build.VCSRevision)
 	err = srv.Run(ctx, ln)
 	if manager != nil {

@@ -21,6 +21,25 @@ func TestRunPatternNoAllocs(t *testing.T) {
 	}
 }
 
+// TestPerNodeFaultsNoAllocs pins per-node fault sampling at zero heap
+// allocations per window: the earliest-arrival scan keeps no queue.
+func TestPerNodeFaultsNoAllocs(t *testing.T) {
+	f, err := NewPerNodeFaults(UniformNodes(16, 1e-2, 1e-2), 1, "alloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := 0.0
+	sample := func() {
+		f.SampleWindow(now, 60, 50)
+		f.SampleFailStop(now, 10)
+		now += 70
+	}
+	sample()
+	if allocs := testing.AllocsPerRun(200, sample); allocs != 0 {
+		t.Errorf("PerNodeFaults allocates %.0f times per window, want 0", allocs)
+	}
+}
+
 // fanOutAllocBudget bounds one full 64-chunk parallel replication call:
 // chunk accumulators, the fan-out task and channel, recruited-goroutine
 // overhead and the final estimate. Measured at ~4; the budget leaves
@@ -32,7 +51,7 @@ func TestReplicatePatternParallelAllocBudget(t *testing.T) {
 	plan := Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
 	costs := Costs{C: 6, V: 1.5, R: 6, LambdaS: 1e-4}
 	run := func() {
-		if _, err := ReplicatePatternParallel(plan, costs, testModel(), 1, 1000, 0); err != nil {
+		if _, err := ReplicatePatternParallelCtx(context.Background(), plan, costs, testModel(), 1, 1000, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

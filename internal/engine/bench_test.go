@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -44,12 +45,12 @@ func BenchmarkReplicatePatternParallel(b *testing.B) {
 	// Warm the shared executor and lane-scratch pools: this benchmark is
 	// alloc-gated in CI's -benchtime=1x smoke mode, where one cold run
 	// would otherwise charge pool construction to the steady state.
-	if _, err := ReplicatePatternParallel(plan, costs, testModel(), 1, 1000, 0); err != nil {
+	if _, err := ReplicatePatternParallelCtx(context.Background(), plan, costs, testModel(), 1, 1000, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplicatePatternParallel(plan, costs, testModel(), uint64(i+1), 1000, 0); err != nil {
+		if _, err := ReplicatePatternParallelCtx(context.Background(), plan, costs, testModel(), uint64(i+1), 1000, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,8 +113,9 @@ func BenchmarkReplicateScenario(b *testing.B) {
 	}
 }
 
-// BenchmarkPerNodeFaults measures the discrete-event per-node sampling
-// path as node count grows.
+// BenchmarkPerNodeFaults measures per-node earliest-arrival sampling,
+// through the cluster's combined-billing pattern engine, as node count
+// grows.
 func BenchmarkPerNodeFaults(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		b.Run(fmt.Sprintf("nodes-%d", n), func(b *testing.B) {

@@ -12,7 +12,7 @@ import (
 // resumable, serializable surface: a replication campaign can execute
 // its 64 chunks on different machines, at different times, or across a
 // process crash, and merging the chunk estimates in index order yields
-// the exact bytes ReplicatePatternParallel would have produced in one
+// the exact bytes ReplicatePatternParallelCtx would have produced in one
 // uninterrupted run. internal/jobs journals one ChunkEstimate per
 // completed shard, which is what makes a killed campaign resumable
 // without re-executing finished chunks — the repo applying the paper's
@@ -70,20 +70,14 @@ func (a *estimator) mergeState(ce ChunkEstimate) {
 	a.attempts += ce.Attempts
 }
 
-// ReplicatePatternChunk executes replications [lo, hi) of chunk `chunk`
-// of an n-replication pattern campaign and returns the chunk's partial
-// estimate. All randomness derives from (seed, chunk): running the
-// chunks of ChunkCount(n) in any order, on any machines, and merging
-// them with MergeChunkEstimates reproduces ReplicatePatternParallel's
-// result exactly.
-func ReplicatePatternChunk(plan Plan, costs Costs, model energy.Model, seed uint64, chunk, lo, hi int) (ChunkEstimate, error) {
-	return ReplicatePatternChunkCtx(context.Background(), plan, costs, model, seed, chunk, lo, hi)
-}
-
-// ReplicatePatternChunkCtx is ReplicatePatternChunk with cancellation:
-// the chunk loop polls ctx and returns its error at the next poll
-// boundary once cancelled, so an aborted campaign shard stops burning
-// replications mid-chunk.
+// ReplicatePatternChunkCtx executes replications [lo, hi) of chunk
+// `chunk` of an n-replication pattern campaign and returns the chunk's
+// partial estimate. All randomness derives from (seed, chunk): running
+// the chunks of ChunkCount(n) in any order, on any machines, and
+// merging them with MergeChunkEstimates reproduces
+// ReplicatePatternParallelCtx's result exactly. The chunk loop polls
+// ctx and returns its error at the next poll boundary once cancelled,
+// so an aborted campaign shard stops burning replications mid-chunk.
 func ReplicatePatternChunkCtx(ctx context.Context, plan Plan, costs Costs, model energy.Model, seed uint64, chunk, lo, hi int) (ChunkEstimate, error) {
 	if err := plan.Validate(); err != nil {
 		return ChunkEstimate{}, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -25,7 +26,7 @@ func TestChunkMergeMatchesParallel(t *testing.T) {
 		seed = uint64(42)
 		n    = 1000
 	)
-	want, err := ReplicatePatternParallel(plan, costs, model, seed, n, 4)
+	want, err := ReplicatePatternParallelCtx(context.Background(), plan, costs, model, seed, n, 4)
 	if err != nil {
 		t.Fatalf("ReplicatePatternParallel: %v", err)
 	}
@@ -34,7 +35,7 @@ func TestChunkMergeMatchesParallel(t *testing.T) {
 	parts := make([]ChunkEstimate, chunks)
 	for c := 0; c < chunks; c++ {
 		lo, hi := ChunkBounds(n, chunks, c)
-		parts[c], err = ReplicatePatternChunk(plan, costs, model, seed, c, lo, hi)
+		parts[c], err = ReplicatePatternChunkCtx(context.Background(), plan, costs, model, seed, c, lo, hi)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", c, err)
 		}
@@ -61,7 +62,7 @@ func TestChunkMergeSurvivesJSON(t *testing.T) {
 	for c := 0; c < chunks; c++ {
 		lo, hi := ChunkBounds(n, chunks, c)
 		covered += hi - lo
-		ce, err := ReplicatePatternChunk(plan, costs, model, seed, c, lo, hi)
+		ce, err := ReplicatePatternChunkCtx(context.Background(), plan, costs, model, seed, c, lo, hi)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", c, err)
 		}

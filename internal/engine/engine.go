@@ -1,11 +1,12 @@
-// Package engine is the unified discrete-event simulation core behind
-// every fault-injection simulator in this repository. It decomposes a
+// Package engine is the one simulation core behind every
+// fault-injection experiment in this repository. It decomposes a
 // resilient execution into orthogonal, composable policies:
 //
 //   - FaultProcess samples when errors strike: a single aggregate
-//     platform process (AggregateFaults, the paper's model) or N
-//     independent per-node Poisson processes resolved on a discrete
-//     event engine (PerNodeFaults, package des).
+//     platform process (AggregateFaults, the paper's model), N
+//     independent per-node Poisson processes whose earliest arrival
+//     decides each window (PerNodeFaults), or renewal processes over
+//     arbitrary inter-arrival laws (RenewalFaults).
 //   - Tier decides where checkpoints go and what a rollback costs:
 //     SingleLevel (one verified store, the paper's C/R) or TwoLevel
 //     (memory + disk via package ckpt, with disk rollbacks that lose
@@ -18,18 +19,18 @@
 //
 // Two executors drive these policies. PatternEngine replays the
 // abstract renewal process of one pattern (durations and energies only,
-// no application state) — the statistical workhorse behind PatternSim
-// and the cluster simulator. App drives a real state-carrying workload
-// through the full protocol — fault injection flips bits in real state,
-// verification compares digests against a clean replica, checkpoints
-// store real bytes — backing ExecSim, TwoLevelSim, and composed
-// Scenarios (multi-node + two-level, partial verification + fail-stop)
-// that the four original siloed simulators could not express.
+// no application state) — the statistical workhorse behind the
+// Monte-Carlo validations and the node-aggregation check. App drives a
+// real state-carrying workload through the full protocol — fault
+// injection flips bits in real state, verification compares digests
+// against a clean replica, checkpoints store real bytes — and Scenario
+// composes it declaratively (multi-node + two-level, partial
+// verification + fail-stop, ...).
 //
 // Every executor is deterministic given its seed material and preserves
 // the legacy simulators' exact float-operation and RNG-draw order, so
-// the sim and cluster wrappers reproduce their historical reports
-// bit-for-bit (see the golden tests in those packages).
+// seeded reports stay bit-identical across refactors (see the golden
+// tests of this package and of the root façade).
 package engine
 
 import (
@@ -99,8 +100,8 @@ type Estimate struct {
 
 // PatternSizes splits totalWork into pattern sizes of at most w work
 // units each, with the last pattern possibly short. The subtraction
-// loop reproduces ExecSim's historical remaining-work arithmetic so the
-// size sequence is bit-identical to the pre-engine simulator.
+// loop reproduces the historical full-stack simulator's remaining-work
+// arithmetic so the size sequence stays bit-identical.
 func PatternSizes(totalWork, w float64) []float64 {
 	var sizes []float64
 	for remaining := totalWork; remaining > 1e-9; {

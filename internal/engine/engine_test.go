@@ -1,8 +1,7 @@
 // Unit tests for the unified engine: size layout, scenario validation,
 // determinism, worker-count independence, and the composed scenarios
 // the siloed simulators could not express. The bit-exact equivalence
-// with the legacy simulators lives in the golden tests of
-// internal/sim and internal/cluster.
+// with the legacy simulators lives in golden_test.go.
 package engine
 
 import (

@@ -8,7 +8,7 @@ import (
 )
 
 // Executor is a shared, long-lived worker pool for chunked fan-outs. It
-// replaces the per-call goroutine pools that ReplicatePatternParallel,
+// replaces the per-call goroutine pools that ReplicatePatternParallelCtx,
 // ReplicateScenario, jobs shard execution and the sweep harness each
 // used to spawn and tear down: the pool's goroutines are created once
 // and amortized across every call for the life of the process.

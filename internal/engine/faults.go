@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"respeed/internal/des"
 	"respeed/internal/faults"
 	"respeed/internal/rngx"
 )
@@ -141,15 +140,15 @@ func ValidateNodes(nodes []Node) error {
 	return nil
 }
 
-// PerNodeFaults models N independent per-node Poisson error processes,
-// resolved on a discrete-event engine: every node's next silent and
-// fail-stop arrivals are scheduled as events and the earliest fail-stop
-// preempts the attempt. Each node consumes its own deterministic
-// substream, so results are independent of node-iteration internals.
+// PerNodeFaults models N independent per-node Poisson error processes:
+// every node draws its next fail-stop and silent arrivals for the
+// window, and the earliest fail-stop preempts the attempt. Each node
+// consumes its own deterministic substream, so results are independent
+// of node-iteration internals.
 type PerNodeFaults struct {
 	nodes   []Node
 	rngs    []*rngx.Stream
-	engine  des.Engine
+	clock   float64
 	corrupt *faults.Injector
 	errors  []int
 }
@@ -180,73 +179,70 @@ func (f *PerNodeFaults) PerNodeErrors() []int {
 	return append([]int(nil), f.errors...)
 }
 
-// SampleWindow implements FaultProcess: it synchronizes the event
-// engine with the wall clock, schedules every node's next arrivals and
-// runs the engine over the window.
-func (f *PerNodeFaults) SampleWindow(now, span, silentSpan float64) Outcome {
-	if f.engine.Now() < now {
-		f.engine.RunUntil(now)
+// windowStart syncs the process clock with the wall clock and returns
+// where the window starts. The clock never runs backwards: a window
+// sampled at an earlier now starts where the previous one ended.
+func (f *PerNodeFaults) windowStart(now float64) float64 {
+	if f.clock < now {
+		f.clock = now
 	}
+	return f.clock
+}
+
+// SampleWindow implements FaultProcess: a scan for the earliest
+// arrivals. Each node draws fail-stop first, then silent. Arrivals are
+// compared as absolute times start+d in node order with strict <, so
+// simultaneous arrivals go to the lowest node, and offsets are
+// reported as (start+d)−start. Every kept arrival lies inside its
+// window (silent ones below silentSpan ≤ span), so none carries over
+// to the next window.
+func (f *PerNodeFaults) SampleWindow(now, span, silentSpan float64) Outcome {
+	start := f.windowStart(now)
 	out := Outcome{FailStopAt: math.Inf(1), FailNode: -1, SilentNode: -1}
-	start := f.engine.Now()
+	failAt, silentAt := math.Inf(1), math.Inf(1)
 	for i, node := range f.nodes {
-		i, node := i, node
 		if node.FailStopRate > 0 {
-			if d := f.rngs[i].Exp(node.FailStopRate); d < span {
-				f.engine.Schedule(d, func(e *des.Engine) {
-					at := e.Now() - start
-					if at < out.FailStopAt {
-						out.FailStopAt = at
-						out.FailNode = i
-					}
-				})
+			if d := f.rngs[i].Exp(node.FailStopRate); d < span && start+d < failAt {
+				failAt, out.FailNode = start+d, i
 			}
 		}
 		if node.SilentRate > 0 {
-			if d := f.rngs[i].Exp(node.SilentRate); d < silentSpan {
-				f.engine.Schedule(d, func(e *des.Engine) {
-					// Record the first silent strike; whether it matters
-					// is resolved below (a fail-stop anywhere in the
-					// window preempts the attempt regardless).
-					if !out.Silent {
-						out.Silent = true
-						out.SilentNode = i
-					}
-				})
+			if d := f.rngs[i].Exp(node.SilentRate); d < silentSpan && start+d < silentAt {
+				silentAt, out.SilentNode = start+d, i
 			}
 		}
 	}
-	f.engine.RunUntil(start + span)
+	f.clock = start + span
+	if out.FailNode >= 0 {
+		out.FailStopAt = failAt - start
+	}
 	out.FailStop = out.FailStopAt < span
+	// A fail-stop anywhere in the window preempts the attempt, so the
+	// silent strike only matters without one.
 	if out.FailStop {
-		out.Silent = false
 		out.SilentNode = -1
 	}
+	out.Silent = out.SilentNode >= 0
 	return out
 }
 
-// SampleFailStop implements FaultProcess: a window pass over the
+// SampleFailStop implements FaultProcess: the same scan over the
 // fail-stop processes only.
 func (f *PerNodeFaults) SampleFailStop(now, span float64) (float64, int, bool) {
-	if f.engine.Now() < now {
-		f.engine.RunUntil(now)
-	}
-	at, node := math.Inf(1), -1
-	start := f.engine.Now()
+	start := f.windowStart(now)
+	first, node := math.Inf(1), -1
 	for i, n := range f.nodes {
-		i, n := i, n
 		if n.FailStopRate > 0 {
-			if d := f.rngs[i].Exp(n.FailStopRate); d < span {
-				f.engine.Schedule(d, func(e *des.Engine) {
-					if off := e.Now() - start; off < at {
-						at = off
-						node = i
-					}
-				})
+			if d := f.rngs[i].Exp(n.FailStopRate); d < span && start+d < first {
+				first, node = start+d, i
 			}
 		}
 	}
-	f.engine.RunUntil(start + span)
+	f.clock = start + span
+	at := math.Inf(1)
+	if node >= 0 {
+		at = first - start
+	}
 	return at, node, at < span
 }
 

@@ -24,8 +24,8 @@ type PatternConfig struct {
 	// trace sink); the zero value disables them.
 	Obs Options
 	// CombineVerify bills compute+verify as a single Compute segment —
-	// the platform-level billing the cluster simulator historically
-	// used. When false, compute and verify are billed (and traced)
+	// the platform-level billing of the node-aggregation experiment.
+	// When false, compute and verify are billed (and traced)
 	// separately.
 	CombineVerify bool
 }

@@ -318,7 +318,7 @@ func (k *patternKernel) runGeneral(ctx context.Context, s *laneScratch, lo, hi i
 
 // runPatternChunk executes replications [lo, hi) of one fixed chunk into
 // acc, deriving all randomness from (seed, chunk). It is the shared body
-// of ReplicatePatternParallel and the exported chunk API, so a chunk
+// of ReplicatePatternParallelCtx and the exported chunk API, so a chunk
 // executed in isolation (e.g. as one shard of a batch job) accumulates
 // bit-identically to the same chunk inside the in-process fan-out.
 // plan and costs must already be validated by the caller.

@@ -70,7 +70,7 @@ func TestReplicatePatternParallelMatchesScalarFanOut(t *testing.T) {
 	const seed, n = 9, 500
 	for _, tc := range laneKernelCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ReplicatePatternParallel(tc.plan, tc.costs, model, seed, n, 0)
+			got, err := ReplicatePatternParallelCtx(context.Background(), tc.plan, tc.costs, model, seed, n, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,7 +18,8 @@ type Recorder interface {
 }
 
 // SumRecorder accumulates energy with a plain running sum — the
-// billing used by PatternSim, TwoLevelSim and the cluster simulator.
+// billing of abstract pattern replication, the node-aggregation
+// experiment and the façade's two-level runs.
 type SumRecorder struct {
 	model  energy.Model
 	clock  float64
@@ -51,7 +52,7 @@ func (r *SumRecorder) Energy() float64 { return r.joules }
 
 // MeterRecorder bills energy on an energy.Meter (compensated
 // summation with a per-activity breakdown) — the billing used by
-// ExecSim and composed scenarios.
+// composed scenarios and the façade's single-level runs.
 type MeterRecorder struct {
 	meter *energy.Meter
 	clock float64

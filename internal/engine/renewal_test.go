@@ -4,6 +4,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -221,7 +222,7 @@ func TestReplicateScenarioChunkBitExact(t *testing.T) {
 			parts := make([]ChunkEstimate, chunks)
 			for c := 0; c < chunks; c++ {
 				lo, hi := ChunkBounds(n, chunks, c)
-				parts[c], err = ReplicateScenarioChunk(tc.sc, seed, lo, hi)
+				parts[c], err = ReplicateScenarioChunkValidatedCtx(context.Background(), tc.sc, seed, lo, hi)
 				if err != nil {
 					t.Fatal(err)
 				}

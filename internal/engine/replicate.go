@@ -11,7 +11,7 @@ import (
 
 // estimator accumulates pattern results into Welford summaries, with
 // per-work normalization against w. The accumulation order matches the
-// historical sim.Replicate loop exactly.
+// historical sequential replication loop exactly.
 type estimator struct {
 	w                float64
 	tw, ew, tpw, epw stats.Welford
@@ -121,20 +121,14 @@ func chunkedFanOut(ctx context.Context, n, workers int, w float64, runChunk func
 	return total.estimate(n), nil
 }
 
-// ReplicatePatternParallel runs n independent abstract pattern
-// simulations fanned out over the shared executor and returns the
-// same aggregate as ReplicatePattern. The estimate is deterministic in
-// (seed, n) and independent of worker count and scheduling; it does NOT
-// reproduce sequential replication's exact samples (different
-// substreams), only the same distribution.
-func ReplicatePatternParallel(plan Plan, costs Costs, model energy.Model, seed uint64, n, workers int) (Estimate, error) {
-	return ReplicatePatternParallelCtx(context.Background(), plan, costs, model, seed, n, workers)
-}
-
-// ReplicatePatternParallelCtx is ReplicatePatternParallel with
-// cancellation: once ctx is cancelled no further chunk starts, in-flight
-// chunks stop at the next poll boundary, and the context's error is
-// returned.
+// ReplicatePatternParallelCtx runs n independent abstract pattern
+// simulations fanned out over the shared executor and aggregates them
+// like ReplicatePattern. The estimate is deterministic in (seed, n) and
+// independent of worker count and scheduling; it does NOT reproduce
+// sequential replication's exact samples (different substreams), only
+// the same distribution. Once ctx is cancelled no further chunk starts,
+// in-flight chunks stop at the next poll boundary, and the context's
+// error is returned.
 func ReplicatePatternParallelCtx(ctx context.Context, plan Plan, costs Costs, model energy.Model, seed uint64, n, workers int) (Estimate, error) {
 	if err := plan.Validate(); err != nil {
 		return Estimate{}, err

@@ -35,8 +35,7 @@ type Scenario struct {
 	// set it must be a whole multiple of Plan.W.
 	TotalWork float64
 	// Nodes, when non-empty, replaces the aggregate fault process with
-	// independent per-node Poisson processes on the discrete-event
-	// engine.
+	// independent per-node Poisson processes.
 	Nodes []Node
 	// Faults, when non-nil, replaces both built-in fault constructions
 	// with a custom process factory (e.g. renewal channels over Weibull
@@ -129,6 +128,21 @@ func (sc Scenario) Run(seed uint64) (Report, error) {
 	return sc.run(seed, "scenario")
 }
 
+// RunOn executes the scenario once on a caller-named stream, for
+// callers that pin their own stream names: faults draw from rng, and
+// partial-verification positions from rng.Child("partial-positions").
+// Only the aggregate rates of Costs can draw from one stream, so
+// per-node (Nodes) and factory (Faults) fault processes are rejected.
+func (sc Scenario) RunOn(rng *rngx.Stream) (Report, error) {
+	if err := sc.Validate(); err != nil {
+		return Report{}, err
+	}
+	if len(sc.Nodes) > 0 || sc.Faults != nil {
+		return Report{}, fmt.Errorf("engine: RunOn takes aggregate fault rates only, not Nodes or a Faults factory")
+	}
+	return sc.runWith(NewAggregateFaults(sc.Costs.LambdaS, sc.Costs.LambdaF, rng), rng.Child("partial-positions"), nil)
+}
+
 // run builds the policy set under the given stream-name prefix and
 // executes. Distinct prefixes give replications independent substreams
 // while staying deterministic in (seed, prefix).
@@ -173,7 +187,13 @@ func (sc Scenario) runSized(seed uint64, prefix string, sizes []float64) (Report
 		// process is unchanged by enabling partial checks.
 		sampledRNG = stream.Child("partial-positions")
 	}
+	return sc.runWith(fp, sampledRNG, sizes)
+}
 
+// runWith assembles the App around a fault process and a
+// partial-position source and executes it once (nil sizes recomputes
+// the pattern sequence).
+func (sc Scenario) runWith(fp FaultProcess, sampledRNG interface{ Intn(int) int }, sizes []float64) (Report, error) {
 	var tier Tier
 	if sizes == nil {
 		sizes = sc.patternSizes()
@@ -181,7 +201,7 @@ func (sc Scenario) runSized(seed uint64, prefix string, sizes []float64) (Report
 	if sc.TwoLevel != nil {
 		tier = NewTwoLevel(*sc.TwoLevel, sc.Costs.R, int(sc.TotalWork/sc.Plan.W))
 	} else {
-		tier = NewSingleLevel(sc.Costs.C, sc.Costs.R, 1)
+		tier = NewSingleLevel(sc.Costs.C, sc.Costs.R)
 	}
 
 	var sampled *detect.SampledVerifier
@@ -273,27 +293,12 @@ func runScenarioRange(ctx context.Context, c *scenarioCampaign, seed uint64, lo,
 	return nil
 }
 
-// ReplicateScenarioChunk executes replications [lo, hi) of an
-// n-replication scenario campaign and returns the chunk's partial
-// estimate — the scenario counterpart of ReplicatePatternChunk. Running
-// the chunks of ChunkCount(n) in any order and merging them in index
-// order with MergeChunkEstimates(sc.TotalWork, n, parts) reproduces
-// ReplicateScenario's result exactly.
-func ReplicateScenarioChunk(sc Scenario, seed uint64, lo, hi int) (ChunkEstimate, error) {
-	return ReplicateScenarioChunkCtx(context.Background(), sc, seed, lo, hi)
-}
-
-// ReplicateScenarioChunkCtx is ReplicateScenarioChunk with
-// cancellation, polled at every run boundary.
-func ReplicateScenarioChunkCtx(ctx context.Context, sc Scenario, seed uint64, lo, hi int) (ChunkEstimate, error) {
-	if err := sc.Validate(); err != nil {
-		return ChunkEstimate{}, err
-	}
-	return ReplicateScenarioChunkValidatedCtx(ctx, sc, seed, lo, hi)
-}
-
-// ReplicateScenarioChunkValidatedCtx is ReplicateScenarioChunkCtx minus
-// the validation pass, with the same already-validated contract as
+// ReplicateScenarioChunkValidatedCtx executes replications [lo, hi) of
+// an n-replication scenario campaign and returns the chunk's partial
+// estimate. Running the chunks of ChunkCount(n) in any order and
+// merging them in index order with MergeChunkEstimates(sc.TotalWork, n,
+// parts) reproduces ReplicateScenario's result exactly. It skips
+// validation, with the same already-validated contract as
 // ReplicateScenarioValidatedCtx — the shard path of a distributed
 // campaign validates the spec once at submit, not once per shard.
 func ReplicateScenarioChunkValidatedCtx(ctx context.Context, sc Scenario, seed uint64, lo, hi int) (ChunkEstimate, error) {

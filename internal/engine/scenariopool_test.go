@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"strconv"
 	"testing"
@@ -188,19 +189,19 @@ func TestReplicateScenarioMatchesScalarFanOut(t *testing.T) {
 	}
 }
 
-// TestReplicateScenarioChunkValidatedMatchesUnvalidated pins the
-// validated fast path to the validating entry point.
-func TestReplicateScenarioChunkValidatedMatchesUnvalidated(t *testing.T) {
+// TestReplicateScenarioValidatedMatchesValidating pins the validated
+// fast path to the validating entry point.
+func TestReplicateScenarioValidatedMatchesValidating(t *testing.T) {
 	sc := testScenario()
-	a, err := ReplicateScenarioChunk(sc, 11, 4, 20)
+	a, err := ReplicateScenarioCtx(context.Background(), sc, 11, 20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplicateScenarioChunkValidatedCtx(nil, sc, 11, 4, 20)
+	b, err := ReplicateScenarioValidatedCtx(nil, sc, 11, 20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("validated chunk diverged: %+v vs %+v", a, b)
+		t.Fatalf("validated fan-out diverged: %+v vs %+v", a, b)
 	}
 }

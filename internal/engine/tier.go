@@ -39,18 +39,14 @@ type SingleLevel struct {
 	store *ckpt.Store
 }
 
-// NewSingleLevel builds the tier with a checkpoint ring of the given
-// depth (minimum 1).
-func NewSingleLevel(c, r float64, depth int) *SingleLevel {
-	if depth < 1 {
-		depth = 1
-	}
-	return &SingleLevel{c: c, r: r, store: ckpt.New(depth)}
+// NewSingleLevel builds the tier: one checkpoint slot, overwritten by
+// every commit.
+func NewSingleLevel(c, r float64) *SingleLevel {
+	return &SingleLevel{c: c, r: r, store: ckpt.New(1)}
 }
 
-// reset re-derives the tier in place as NewSingleLevel(c, r, 1) would —
-// the depth the scenario path always uses — recycling the store's
-// snapshot buffers.
+// reset re-derives the tier in place as NewSingleLevel(c, r) would,
+// recycling the store's snapshot buffers.
 func (t *SingleLevel) reset(c, r float64) {
 	t.c, t.r = c, r
 	if t.store == nil {
@@ -84,8 +80,9 @@ func (t *SingleLevel) Commit(x *App, pattern, attempt int) error {
 }
 
 // recover restores both workload copies from the store, then bills R —
-// the historical ExecSim order. The view is read-only and consumed
-// before the store can invalidate it: restore copies the bytes out.
+// the historical full-stack simulator's order. The view is read-only
+// and consumed before the store can invalidate it: restore copies the
+// bytes out.
 func (t *SingleLevel) recover(x *App) error {
 	state, err := t.store.RecoverView()
 	if err != nil {

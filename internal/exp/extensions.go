@@ -5,14 +5,14 @@ import (
 	"math"
 	"strings"
 
-	"respeed/internal/cluster"
 	"respeed/internal/core"
 	"respeed/internal/energy"
+	"respeed/internal/engine"
 	"respeed/internal/optimize"
 	"respeed/internal/platform"
 	"respeed/internal/rngx"
 	"respeed/internal/schedule"
-	"respeed/internal/sim"
+	"respeed/internal/stats"
 	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 	"respeed/internal/workload"
@@ -164,11 +164,14 @@ func runVerificationAblation(o Options) (Result, error) {
 	o = o.normalize()
 	cfg, _ := platform.ByName("Hera/XScale")
 	p := core.FromConfig(cfg)
-	base := sim.ExecConfig{
-		Plan:      sim.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
-		Costs:     sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: 2e-3},
+	base := engine.Scenario{
+		Plan:      engine.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
+		Costs:     engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: 2e-3},
 		Model:     energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio},
 		TotalWork: 1000,
+		NewWorkload: func() *engine.Runner {
+			return engine.FromWorkload(workload.NewHeat(128, 0.25))
+		},
 	}
 	const trials = 20
 	type outcome struct {
@@ -182,21 +185,12 @@ func runVerificationAblation(o Options) (Result, error) {
 		seedName := fmt.Sprintf("verif-ablation/%d", trial)
 		clean := base
 		clean.Costs.LambdaS = 0
-		cs, err := sim.NewExecSim(clean, sim.FromWorkload(workload.NewHeat(128, 0.25)), rngx.NewStream(o.Seed, seedName+"/clean"))
-		if err != nil {
-			return Result{}, err
-		}
-		cleanRep, err := cs.Run()
+		cleanRep, err := clean.RunOn(rngx.NewStream(o.Seed, seedName+"/clean"))
 		if err != nil {
 			return Result{}, err
 		}
 
-		verified := base
-		vs, err := sim.NewExecSim(verified, sim.FromWorkload(workload.NewHeat(128, 0.25)), rngx.NewStream(o.Seed, seedName+"/v"))
-		if err != nil {
-			return Result{}, err
-		}
-		vRep, err := vs.Run()
+		vRep, err := base.RunOn(rngx.NewStream(o.Seed, seedName+"/v"))
 		if err != nil {
 			return Result{}, err
 		}
@@ -206,11 +200,7 @@ func runVerificationAblation(o Options) (Result, error) {
 
 		blind := base
 		blind.SkipVerification = true
-		bs, err := sim.NewExecSim(blind, sim.FromWorkload(workload.NewHeat(128, 0.25)), rngx.NewStream(o.Seed, seedName+"/b"))
-		if err != nil {
-			return Result{}, err
-		}
-		bRep, err := bs.Run()
+		bRep, err := blind.RunOn(rngx.NewStream(o.Seed, seedName+"/b"))
 		if err != nil {
 			return Result{}, err
 		}
@@ -243,19 +233,28 @@ func runClusterAggregation(o Options) (Result, error) {
 	cfgP, _ := platform.ByName("Hera/XScale")
 	p := core.FromConfig(cfgP)
 	p.Lambda *= 100
-	plan := sim.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
+	plan := engine.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
 	want := p.ExpectedTime(plan.W, plan.Sigma1, plan.Sigma2)
 
 	nodeCounts := []float64{1, 2, 4, 8, 16, 32, 64}
-	pts := sweep.Run(nodeCounts, o.Workers, func(i int, nf float64) (sim.Estimate, error) {
-		n := int(nf)
-		ccfg := cluster.Config{
-			Nodes: cluster.Uniform(n, p.Lambda, 0),
-			Plan:  plan,
-			Costs: sim.Costs{C: p.C, V: p.V, R: p.R},
-			Model: energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio},
+	pts := sweep.Run(nodeCounts, o.Workers, func(i int, nf float64) (engine.Estimate, error) {
+		fp, err := engine.NewPerNodeFaults(engine.UniformNodes(int(nf), p.Lambda, 0), o.Seed+uint64(i), "cluster")
+		if err != nil {
+			return engine.Estimate{}, err
 		}
-		return cluster.Replicate(ccfg, o.Seed+uint64(i), o.Replications)
+		eng, err := engine.NewPatternEngine(engine.PatternConfig{
+			Plan:     plan,
+			Costs:    engine.Costs{C: p.C, V: p.V, R: p.R},
+			Faults:   fp,
+			Recorder: engine.NewSumRecorder(energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio}),
+			// Platform-level billing: compute+verify is one aggregate
+			// Compute segment.
+			CombineVerify: true,
+		})
+		if err != nil {
+			return engine.Estimate{}, err
+		}
+		return engine.ReplicatePattern(eng, plan.W, o.Replications)
 	})
 	ests, err := sweep.Values(pts)
 	if err != nil {
@@ -373,23 +372,29 @@ func runTwoLevelK(o Options) (Result, error) {
 	if reps < 30 {
 		reps = 30
 	}
-	mk := func() *sim.Runner { return sim.FromWorkload(workload.NewStream(o.Seed, 8)) }
 	pts := sweep.Run(ks, o.Workers, func(i int, kf float64) (float64, error) {
-		cfg := sim.TwoLevelConfig{
-			Plan:      sim.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
-			Costs:     sim.Costs{V: 15.4, R: 30, LambdaS: 5e-4, LambdaF: 2e-3},
-			MemC:      20,
-			DiskC:     300,
-			DiskR:     300,
-			DiskEvery: int(kf),
+		sc := engine.Scenario{
+			Plan:      engine.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
+			Costs:     engine.Costs{V: 15.4, R: 30, LambdaS: 5e-4, LambdaF: 2e-3},
 			Model:     energy.Model{Kappa: 1550, Pidle: 60, Pio: 5.23},
 			TotalWork: 1000,
+			TwoLevel:  &engine.TwoLevelSpec{MemC: 20, DiskC: 300, DiskR: 300, Every: int(kf)},
+			NewWorkload: func() *engine.Runner {
+				return engine.FromWorkload(workload.NewStream(o.Seed, 8))
+			},
 		}
-		est, err := sim.ReplicateTwoLevel(cfg, mk, o.Seed+uint64(i), reps)
-		if err != nil {
-			return 0, err
+		// Only the makespan is reported, and it is the same under either
+		// energy recorder, so the metered scenario path serves.
+		seed := o.Seed + uint64(i)
+		var makespan stats.Welford
+		for r := 0; r < reps; r++ {
+			rep, err := sc.RunOn(rngx.NewStream(seed, fmt.Sprintf("twolevel/%d", r)))
+			if err != nil {
+				return 0, err
+			}
+			makespan.Add(rep.Makespan)
 		}
-		return est.Time.Mean, nil
+		return makespan.Mean(), nil
 	})
 	means, err := sweep.Values(pts)
 	if err != nil {

@@ -5,9 +5,9 @@ import (
 
 	"respeed/internal/core"
 	"respeed/internal/energy"
+	"respeed/internal/engine"
 	"respeed/internal/platform"
 	"respeed/internal/rngx"
-	"respeed/internal/sim"
 	"respeed/internal/tablefmt"
 	"respeed/internal/trace"
 	"respeed/internal/workload"
@@ -31,12 +31,11 @@ func init() {
 // findPatternTrace runs traced patterns until one matches the wanted
 // error signature (silent/failstop counts), returning its rendered
 // schedule. The search is deterministic in seed.
-func findPatternTrace(costs sim.Costs, model energy.Model, plan sim.Plan, seed uint64,
-	want func(sim.PatternResult) bool) (string, error) {
+func findPatternTrace(costs engine.Costs, model energy.Model, plan engine.Plan, seed uint64,
+	want func(engine.PatternResult) bool) (string, error) {
 	for attempt := uint64(0); attempt < 200; attempt++ {
 		rec := trace.New(0)
-		s, err := sim.NewPatternSim(plan, costs, model,
-			rngx.NewStream(seed+attempt, "figure1"), rec)
+		s, err := patternEngine(plan, costs, model, rngx.NewStream(seed+attempt, "figure1"), rec)
 		if err != nil {
 			return "", err
 		}
@@ -56,13 +55,13 @@ func runFigure1(o Options) (Result, error) {
 	cfg, _ := platform.ByName("Hera/XScale")
 	p := core.FromConfig(cfg)
 	model := energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio}
-	plan := sim.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8} // σ2 = 2σ1 as drawn
+	plan := engine.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8} // σ2 = 2σ1 as drawn
 
 	res := Result{ID: "figure-1-traces", Title: "Pattern anatomy (W=2764, σ1=0.4, σ2=0.8)"}
 
 	// (a) Without error.
-	clean := sim.Costs{C: p.C, V: p.V, R: p.R}
-	tr, err := findPatternTrace(clean, model, plan, o.Seed, func(r sim.PatternResult) bool {
+	clean := engine.Costs{C: p.C, V: p.V, R: p.R}
+	tr, err := findPatternTrace(clean, model, plan, o.Seed, func(r engine.PatternResult) bool {
 		return r.Attempts == 1
 	})
 	if err != nil {
@@ -74,7 +73,7 @@ func runFigure1(o Options) (Result, error) {
 	// re-execution at σ2.
 	fs := clean
 	fs.LambdaF = 2e-4
-	tr, err = findPatternTrace(fs, model, plan, o.Seed, func(r sim.PatternResult) bool {
+	tr, err = findPatternTrace(fs, model, plan, o.Seed, func(r engine.PatternResult) bool {
 		return r.FailStopErrors == 1 && r.Attempts == 2
 	})
 	if err != nil {
@@ -86,7 +85,7 @@ func runFigure1(o Options) (Result, error) {
 	// end of the pattern.
 	se := clean
 	se.LambdaS = 2e-4
-	tr, err = findPatternTrace(se, model, plan, o.Seed, func(r sim.PatternResult) bool {
+	tr, err = findPatternTrace(se, model, plan, o.Seed, func(r engine.PatternResult) bool {
 		return r.SilentErrors == 1 && r.Attempts == 2
 	})
 	if err != nil {
@@ -111,19 +110,17 @@ func runWasteBreakdown(o Options) (Result, error) {
 		}
 		b := sol.Best
 		rec := trace.New(0)
-		ec := sim.ExecConfig{
-			Plan:      sim.Plan{W: b.W, Sigma1: b.Sigma1, Sigma2: b.Sigma2},
-			Costs:     sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda},
+		sc := engine.Scenario{
+			Plan:      engine.Plan{W: b.W, Sigma1: b.Sigma1, Sigma2: b.Sigma2},
+			Costs:     engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda},
 			Model:     energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio},
 			TotalWork: b.W * 40, // 40 patterns
 			Trace:     rec,
+			NewWorkload: func() *engine.Runner {
+				return engine.FromWorkload(workload.NewStream(o.Seed, 16))
+			},
 		}
-		e, err := sim.NewExecSim(ec, sim.FromWorkload(workload.NewStream(o.Seed, 16)),
-			rngx.NewStream(o.Seed, "waste/"+cfg.Name()))
-		if err != nil {
-			return Result{}, err
-		}
-		if _, err := e.Run(); err != nil {
+		if _, err := sc.RunOn(rngx.NewStream(o.Seed, "waste/"+cfg.Name())); err != nil {
 			return Result{}, fmt.Errorf("%s: %w", cfg.Name(), err)
 		}
 		w, err := trace.Analyze(rec.Events())

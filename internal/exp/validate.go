@@ -6,11 +6,12 @@ import (
 
 	"respeed/internal/core"
 	"respeed/internal/energy"
+	"respeed/internal/engine"
 	"respeed/internal/platform"
 	"respeed/internal/rngx"
-	"respeed/internal/sim"
 	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
+	"respeed/internal/trace"
 )
 
 // validationRow is the Monte-Carlo check of one configuration.
@@ -38,6 +39,27 @@ func init() {
 	})
 }
 
+// patternEngine builds the abstract pattern simulator: the aggregate
+// fault process on rng and plain summed energy. rec may be nil.
+func patternEngine(plan engine.Plan, costs engine.Costs, model energy.Model, rng *rngx.Stream, rec *trace.Recorder) (*engine.PatternEngine, error) {
+	return engine.NewPatternEngine(engine.PatternConfig{
+		Plan:     plan,
+		Costs:    costs,
+		Faults:   engine.NewAggregateFaults(costs.LambdaS, costs.LambdaF, rng),
+		Recorder: engine.NewSumRecorder(model),
+		Trace:    rec,
+	})
+}
+
+// replicatePattern runs n patterns on one stream and aggregates them.
+func replicatePattern(plan engine.Plan, costs engine.Costs, model energy.Model, rng *rngx.Stream, n int) (engine.Estimate, error) {
+	eng, err := patternEngine(plan, costs, model, rng, nil)
+	if err != nil {
+		return engine.Estimate{}, err
+	}
+	return engine.ReplicatePattern(eng, plan.W, n)
+}
+
 func runValidateMC(o Options) (Result, error) {
 	o = o.normalize()
 	configs := platform.Configs()
@@ -55,11 +77,11 @@ func runValidateMC(o Options) (Result, error) {
 			return validationRow{}, fmt.Errorf("%s: %w", cfg.Name(), err)
 		}
 		b := sol.Best
-		plan := sim.Plan{W: b.W, Sigma1: b.Sigma1, Sigma2: b.Sigma2}
-		costs := sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
+		plan := engine.Plan{W: b.W, Sigma1: b.Sigma1, Sigma2: b.Sigma2}
+		costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
 		model := energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio}
 		rng := rngx.NewStream(o.Seed, "validate/"+cfg.Name())
-		est, err := sim.Replicate(plan, costs, model, rng, o.Replications)
+		est, err := replicatePattern(plan, costs, model, rng, o.Replications)
 		if err != nil {
 			return validationRow{}, err
 		}
@@ -114,11 +136,11 @@ func runValidateCombined(o Options) (Result, error) {
 	}
 	pts := sweep.Map(fractions, o.Workers, func(i int, f float64) (row, error) {
 		cp := p.Split(f)
-		plan := sim.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
-		costs := sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: cp.LambdaS, LambdaF: cp.LambdaF}
+		plan := engine.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
+		costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: cp.LambdaS, LambdaF: cp.LambdaF}
 		model := energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio}
 		rng := rngx.NewStream(o.Seed, fmt.Sprintf("validate-combined/%g", f))
-		est, err := sim.Replicate(plan, costs, model, rng, o.Replications)
+		est, err := replicatePattern(plan, costs, model, rng, o.Replications)
 		if err != nil {
 			return row{}, err
 		}

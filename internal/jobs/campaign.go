@@ -34,7 +34,6 @@ import (
 	"respeed/internal/energy"
 	"respeed/internal/engine"
 	"respeed/internal/platform"
-	"respeed/internal/sim"
 	"respeed/internal/spec"
 )
 
@@ -399,8 +398,8 @@ func (c Campaign) runShard(ctx context.Context, sp ShardPlan) (shardResult, erro
 			return shardResult{}, solveErr
 		}
 		p := g.Params()
-		plan := sim.Plan{W: sol.Best.W, Sigma1: sol.Best.Sigma1, Sigma2: sol.Best.Sigma2}
-		costs := sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
+		plan := engine.Plan{W: sol.Best.W, Sigma1: sol.Best.Sigma1, Sigma2: sol.Best.Sigma2}
+		costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
 		model := energy.Model{Kappa: cfg.Processor.Kappa, Pidle: cfg.Processor.Pidle, Pio: cfg.Pio}
 		seed := c.cellSeed(sp.Config, sp.Rho)
 		ce, err := engine.ReplicatePatternChunkCtx(ctx, plan, costs, model, seed, sp.Chunk, sp.Lo, sp.Hi)

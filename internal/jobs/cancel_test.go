@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -70,5 +71,59 @@ func TestCancelAbortsInFlightShards(t *testing.T) {
 	}
 	if d := time.Since(start); d > 15*time.Second {
 		t.Fatalf("cancel took %v to drain in-flight shards", d)
+	}
+}
+
+// TestCancelRecordSurvivesFinishRace forces the interleaving in which a
+// cancelled job's shards return at once and the job finishes — closing
+// its journal — before Cancel journals the cancel record. The hook
+// before the record waits for the job to finish whenever the shards
+// have already been told to stop, so a Cancel that flips the flag or
+// the context before committing the record loses the race every time.
+// A successful Cancel must still be durable: the reopened manager has
+// to see the job as cancelled, not resume it as queued.
+func TestCancelRecordSurvivesFinishRace(t *testing.T) {
+	dir := t.TempDir()
+	started := make(chan context.Context, 1)
+	m := mustOpen(t, Options{Dir: dir, Workers: 1,
+		ShardRunner: func(ctx context.Context, c Campaign, sp ShardPlan, shard, attempt int) (json.RawMessage, error) {
+			select {
+			case started <- ctx:
+			default:
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}})
+	st, err := m.Submit(Campaign{Kind: KindSweep, Configs: []string{"Hera/XScale"}, Rhos: []float64{3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardCtx := <-started
+	m.testBeforeCancelRecord = func() {
+		if shardCtx.Err() == nil {
+			return // shards still running: the job cannot finish yet
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := m.Wait(ctx, st.ID); err != nil {
+			t.Errorf("job did not finish after its shards stopped: %v", err)
+		}
+	}
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if fin := waitDone(t, m, st.ID); fin.State != StateCancelled {
+		t.Fatalf("state %s after cancel", fin.State)
+	}
+	m.Close()
+
+	m2 := mustOpen(t, Options{Dir: dir})
+	defer m2.Close()
+	st2, err := m2.Status(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != StateCancelled {
+		t.Fatalf("cancelled job resurrected as %s", st2.State)
 	}
 }

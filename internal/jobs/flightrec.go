@@ -137,10 +137,10 @@ func (r *flightRecorder) closeFile() {
 // JobTrace is the GET /v1/jobs/{id}/trace payload: the job's flight
 // recorder plus enough status to interpret it.
 type JobTrace struct {
-	JobID       string       `json:"job"`
-	State       State        `json:"state"`
-	ShardsTotal int          `json:"shards_total"`
-	ShardsDone  int          `json:"shards_done"`
+	JobID       string `json:"job"`
+	State       State  `json:"state"`
+	ShardsTotal int    `json:"shards_total"`
+	ShardsDone  int    `json:"shards_done"`
 	// Dropped counts timeline entries evicted from the bounded ring
 	// (only campaigns beyond traceRingCap shards ever drop).
 	Dropped int          `json:"dropped,omitempty"`

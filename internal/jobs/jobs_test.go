@@ -13,8 +13,8 @@ import (
 
 	"respeed/internal/core"
 	"respeed/internal/energy"
+	"respeed/internal/engine"
 	"respeed/internal/platform"
-	"respeed/internal/sim"
 )
 
 func waitDone(t *testing.T, m *Manager, id string) Status {
@@ -143,14 +143,14 @@ func TestMonteCarloMatchesReplicateParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := sim.Plan{W: sol.Best.W, Sigma1: sol.Best.Sigma1, Sigma2: sol.Best.Sigma2}
-	costs := sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
+	plan := engine.Plan{W: sol.Best.W, Sigma1: sol.Best.Sigma1, Sigma2: sol.Best.Sigma2}
+	costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
 	model := energy.Model{Kappa: cfg.Processor.Kappa, Pidle: cfg.Processor.Pidle, Pio: cfg.Pio}
 	norm, err := camp.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.ReplicateParallel(plan, costs, model, norm.cellSeed("Hera/XScale", 3), 5000, 0)
+	want, err := engine.ReplicatePatternParallelCtx(context.Background(), plan, costs, model, norm.cellSeed("Hera/XScale", 3), 5000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,13 +420,13 @@ func TestCampaignValidation(t *testing.T) {
 	m := mustOpen(t, Options{Dir: t.TempDir()})
 	defer m.Close()
 	for name, c := range map[string]Campaign{
-		"unknown kind":    {Kind: "banana", Rhos: []float64{3}},
-		"no rhos":         {Kind: KindGrid},
-		"bad rho":         {Kind: KindGrid, Rhos: []float64{-1}},
-		"unknown config":  {Kind: KindGrid, Configs: []string{"Cray/YMP"}, Rhos: []float64{3}},
-		"n on grid":       {Kind: KindGrid, Rhos: []float64{3}, N: 100},
-		"n too small":     {Kind: KindMonteCarlo, Rhos: []float64{3}, N: 1},
-		"n too large":     {Kind: KindMonteCarlo, Rhos: []float64{3}, N: 20_000_000},
+		"unknown kind":   {Kind: "banana", Rhos: []float64{3}},
+		"no rhos":        {Kind: KindGrid},
+		"bad rho":        {Kind: KindGrid, Rhos: []float64{-1}},
+		"unknown config": {Kind: KindGrid, Configs: []string{"Cray/YMP"}, Rhos: []float64{3}},
+		"n on grid":      {Kind: KindGrid, Rhos: []float64{3}, N: 100},
+		"n too small":    {Kind: KindMonteCarlo, Rhos: []float64{3}, N: 1},
+		"n too large":    {Kind: KindMonteCarlo, Rhos: []float64{3}, N: 20_000_000},
 	} {
 		if _, err := m.Submit(c); err == nil {
 			t.Errorf("%s: submit accepted invalid campaign", name)

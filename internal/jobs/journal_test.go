@@ -19,8 +19,8 @@ func buildJournal(t *testing.T, k int) ([]byte, []int, Campaign) {
 		Kind:    KindMonteCarlo,
 		Configs: []string{"Hera/XScale"},
 		Rhos:    []float64{3},
-		N:      500,
-		Seed:   5,
+		N:       500,
+		Seed:    5,
 	}.normalize()
 	if err != nil {
 		t.Fatal(err)

@@ -219,13 +219,17 @@ type Manager struct {
 	shardsExecuted atomic.Int64
 	shardRetries   atomic.Int64
 	journalIO      journalStats
-	shardHist      *obs.Histogram     // shard wall-clock seconds
-	fleetPhases    *obs.HistogramVec  // respeed_fleet_shard_seconds{peer,phase}
+	shardHist      *obs.Histogram    // shard wall-clock seconds
+	fleetPhases    *obs.HistogramVec // respeed_fleet_shard_seconds{peer,phase}
 	log            *slog.Logger
 
 	// testShardDelay, when non-nil, runs before every shard execution
 	// (lets tests hold shards in flight).
 	testShardDelay func()
+	// testBeforeCancelRecord, when non-nil, runs just before Cancel
+	// appends the cancel record (lets tests widen the window in which
+	// the job could finish and close its journal).
+	testBeforeCancelRecord func()
 }
 
 // Open creates (or reopens) a manager over dir: completed snapshots are
@@ -899,10 +903,10 @@ func (m *Manager) Result(id string) (Result, error) {
 	return *j.result, nil
 }
 
-// Cancel requests cancellation: pending shards stop dispatching, the
-// cancel is journaled (so a restart does not resurrect the job), and
-// the job transitions to cancelled once in-flight shards drain.
-// Cancelling a terminal job is a no-op.
+// Cancel requests cancellation: the cancel is journaled (so a restart
+// does not resurrect the job), pending shards stop dispatching, and the
+// job transitions to cancelled once in-flight shards drain. Cancelling
+// a terminal job is a no-op.
 func (m *Manager) Cancel(id string) (Status, error) {
 	j, err := m.get(id)
 	if err != nil {
@@ -913,26 +917,25 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		j.mu.Unlock()
 		return m.statusOf(j), nil
 	}
+	// Commit the record before the flag and the context flip: until
+	// then shards keep running, and finishLocked — the only closer of
+	// the journal — needs j.mu, so the journal is still open here.
+	if m.testBeforeCancelRecord != nil {
+		m.testBeforeCancelRecord()
+	}
+	if j.journal != nil {
+		if err := j.journal.append(record{T: recordCancel}); err != nil {
+			j.mu.Unlock()
+			return Status{}, err
+		}
+	}
 	j.cancelled = true
-	jn := j.journal
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		// Abort in-flight shards promptly: Monte-Carlo chunks poll this
 		// context and stop mid-chunk instead of burning out their range.
 		cancel()
-	}
-	if jn != nil {
-		if err := jn.append(record{T: recordCancel}); err != nil {
-			// The job may have finished (and retired its journal) in
-			// the race window; that is a successful no-op cancel.
-			j.mu.Lock()
-			terminal := j.state.Terminal()
-			j.mu.Unlock()
-			if !terminal {
-				return Status{}, err
-			}
-		}
 	}
 	return m.statusOf(j), nil
 }

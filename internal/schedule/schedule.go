@@ -13,8 +13,8 @@ import (
 
 	"respeed/internal/core"
 	"respeed/internal/energy"
+	"respeed/internal/engine"
 	"respeed/internal/platform"
-	"respeed/internal/sim"
 )
 
 // AppPlan is a complete execution plan for one application.
@@ -102,14 +102,14 @@ func (ap AppPlan) MeetsBound(tol float64) bool {
 	return ap.ExpectedMakespan <= ap.Rho*ap.TotalWork*(1+tol)
 }
 
-// ExecConfig converts the plan into a full-stack simulator
-// configuration. The simulator uses the plan's pattern size and speeds
-// and the catalog costs; the caller supplies the workload and seed.
-func (ap AppPlan) ExecConfig() sim.ExecConfig {
+// ExecConfig converts the plan into a full-stack scenario: the plan's
+// pattern size and speeds and the catalog costs, with aggregate error
+// rates. The caller supplies the workload and the stream.
+func (ap AppPlan) ExecConfig() engine.Scenario {
 	p := core.FromConfig(ap.Config)
-	return sim.ExecConfig{
-		Plan:      sim.Plan{W: ap.Best.W, Sigma1: ap.Best.Sigma1, Sigma2: ap.Best.Sigma2},
-		Costs:     sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda},
+	return engine.Scenario{
+		Plan:      engine.Plan{W: ap.Best.W, Sigma1: ap.Best.Sigma1, Sigma2: ap.Best.Sigma2},
+		Costs:     engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda},
 		Model:     energy.Model{Kappa: p.Kappa, Pidle: p.Pidle, Pio: p.Pio},
 		TotalWork: ap.TotalWork,
 	}

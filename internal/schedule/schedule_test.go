@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"respeed/internal/core"
+	"respeed/internal/engine"
 	"respeed/internal/platform"
 	"respeed/internal/rngx"
-	"respeed/internal/sim"
 	"respeed/internal/workload"
 )
 
@@ -134,11 +134,8 @@ func TestExecConfigRoundTrip(t *testing.T) {
 	ec := plan.ExecConfig()
 	// Scale work per unit down: heat kernel advances one sweep per unit,
 	// W≈2764 sweeps per pattern is fine at 128 cells.
-	e, err := sim.NewExecSim(ec, sim.FromWorkload(workload.NewHeat(128, 0.25)), rngx.NewStream(1, "sched"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
+	ec.NewWorkload = func() *engine.Runner { return engine.FromWorkload(workload.NewHeat(128, 0.25)) }
+	rep, err := ec.RunOn(rngx.NewStream(1, "sched"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"respeed/internal/jobs"
 	"respeed/internal/obs"
 	"respeed/internal/platform"
-	"respeed/internal/sim"
 	"respeed/internal/spec"
 )
 
@@ -417,18 +416,18 @@ type GainReply struct {
 
 // SimulateReply is the /v1/simulate answer.
 type SimulateReply struct {
-	Config string   `json:"config"`
-	Rho    float64  `json:"rho"`
-	N      int      `json:"n"`
-	Seed   uint64   `json:"seed"`
-	Plan   sim.Plan `json:"plan"`
+	Config string      `json:"config"`
+	Rho    float64     `json:"rho"`
+	N      int         `json:"n"`
+	Seed   uint64      `json:"seed"`
+	Plan   engine.Plan `json:"plan"`
 	// Partial marks a degraded answer: the heavy lane was saturated
 	// and the estimate was computed at the reduced replica count N
 	// instead of the requested RequestedN, so the confidence interval
 	// is wider. Degraded answers are never cached.
-	Partial    bool         `json:"partial,omitempty"`
-	RequestedN int          `json:"requested_n,omitempty"`
-	Estimate   sim.Estimate `json:"estimate"`
+	Partial    bool            `json:"partial,omitempty"`
+	RequestedN int             `json:"requested_n,omitempty"`
+	Estimate   engine.Estimate `json:"estimate"`
 }
 
 // ScenarioReply is the /v1/simulate answer when ?scenario= selects one
@@ -442,9 +441,9 @@ type ScenarioReply struct {
 	Report   engine.Report `json:"report"`
 	// Partial and RequestedN mark a degraded answer, exactly as on
 	// SimulateReply.
-	Partial    bool         `json:"partial,omitempty"`
-	RequestedN int          `json:"requested_n,omitempty"`
-	Estimate   sim.Estimate `json:"estimate"`
+	Partial    bool            `json:"partial,omitempty"`
+	RequestedN int             `json:"requested_n,omitempty"`
+	Estimate   engine.Estimate `json:"estimate"`
 }
 
 // maxScenarioSimulations bounds ?n= for scenario runs: unlike the
@@ -783,14 +782,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			case err != nil:
 				return response{}, err
 			}
-			plan := sim.Plan{W: sol.Best.W, Sigma1: sol.Best.Sigma1, Sigma2: sol.Best.Sigma2}
-			costs := sim.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
+			plan := engine.Plan{W: sol.Best.W, Sigma1: sol.Best.Sigma1, Sigma2: sol.Best.Sigma2}
+			costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
 			model := energy.Model{Kappa: sq.cfg.Processor.Kappa, Pidle: sq.cfg.Processor.Pidle, Pio: sq.cfg.Pio}
-			// Worker count 0 (GOMAXPROCS): ReplicateParallel is
+			// Worker count 0 (GOMAXPROCS): the fan-out is
 			// deterministic in (seed, n) regardless, so the pool size never
 			// leaks into the cached bytes. The context aborts the fan-out
 			// at the request deadline.
-			est, err := sim.ReplicateParallelCtx(ctx, plan, costs, model, seed, nRun, 0)
+			est, err := engine.ReplicatePatternParallelCtx(ctx, plan, costs, model, seed, nRun, 0)
 			if err != nil {
 				return response{}, err
 			}
@@ -826,9 +825,9 @@ type SpecReply struct {
 	Report   engine.Report `json:"report"`
 	// Partial and RequestedN mark a degraded answer, exactly as on
 	// SimulateReply.
-	Partial    bool         `json:"partial,omitempty"`
-	RequestedN int          `json:"requested_n,omitempty"`
-	Estimate   sim.Estimate `json:"estimate"`
+	Partial    bool            `json:"partial,omitempty"`
+	RequestedN int             `json:"requested_n,omitempty"`
+	Estimate   engine.Estimate `json:"estimate"`
 }
 
 // handleSimulateSpec answers POST /v1/simulate: the body is a

@@ -92,11 +92,11 @@ func TestQuantityForms(t *testing.T) {
 
 func TestQuantityRejects(t *testing.T) {
 	cases := []string{
-		`{"of": "X"}`,          // unknown base
-		`{"off": "C"}`,         // unknown field
+		`{"of": "X"}`,              // unknown base
+		`{"off": "C"}`,             // unknown field
 		`{"of": "C", "scale": -1}`, // negative scale
-		`-5`,                   // negative absolute
-		`"C"`,                  // wrong JSON type
+		`-5`,                       // negative absolute
+		`"C"`,                      // wrong JSON type
 	}
 	for _, q := range cases {
 		src := strings.Replace(minimal, `"faults"`, `"costs": {"c": `+q+`}, "faults"`, 1)

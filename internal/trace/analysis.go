@@ -53,7 +53,7 @@ func (w Waste) String() string {
 }
 
 // Analyze computes the waste breakdown of a trace produced by the
-// simulators in package sim. It reconstructs segment durations from
+// simulation engine. It reconstructs segment durations from
 // consecutive event timestamps; traces must be well-formed (Validate).
 func Analyze(events []Event) (Waste, error) {
 	if err := Validate(events); err != nil {

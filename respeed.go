@@ -26,6 +26,7 @@ package respeed
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -33,6 +34,7 @@ import (
 
 	"respeed/internal/admit"
 	"respeed/internal/core"
+	"respeed/internal/detect"
 	"respeed/internal/energy"
 	"respeed/internal/engine"
 	"respeed/internal/exp"
@@ -45,7 +47,6 @@ import (
 	"respeed/internal/rngx"
 	"respeed/internal/schedule"
 	"respeed/internal/serve"
-	"respeed/internal/sim"
 	"respeed/internal/spec"
 	"respeed/internal/trace"
 	"respeed/internal/workload"
@@ -71,11 +72,13 @@ type (
 	// PowerModel prices energy.
 	PowerModel = energy.Model
 	// Plan, Costs, Estimate, ExecConfig and ExecReport drive simulation.
-	Plan       = sim.Plan
-	Costs      = sim.Costs
-	Estimate   = sim.Estimate
-	ExecConfig = sim.ExecConfig
-	ExecReport = sim.ExecReport
+	// ExecConfig is the engine's Scenario and ExecReport its Report:
+	// RunWorkload reads the scenario's aggregate-rate fields.
+	Plan       = engine.Plan
+	Costs      = engine.Costs
+	Estimate   = engine.Estimate
+	ExecConfig = engine.Scenario
+	ExecReport = engine.Report
 	// Workload is a checkpointable divisible-load kernel.
 	Workload = workload.Workload
 	// Trace records simulated schedules.
@@ -168,20 +171,27 @@ func PowerModelFor(cfg Config) PowerModel {
 // The run is deterministic in seed.
 func SimulatePatterns(cfg Config, plan Plan, n int, seed uint64) (Estimate, error) {
 	p := core.FromConfig(cfg)
-	costs := Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
-	return sim.Replicate(plan, costs, PowerModelFor(cfg), rngx.NewStream(seed, "respeed/simulate"), n)
+	eng, err := engine.NewPatternEngine(engine.PatternConfig{
+		Plan:     plan,
+		Costs:    Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda},
+		Faults:   engine.NewAggregateFaults(p.Lambda, 0, rngx.NewStream(seed, "respeed/simulate")),
+		Recorder: engine.NewSumRecorder(PowerModelFor(cfg)),
+	})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return engine.ReplicatePattern(eng, plan.W, n)
 }
 
 // RunWorkload executes a real state-carrying workload to completion under
 // the verified-checkpoint protocol with injected faults, and reports
 // makespan, energy, error/detection counts and the final state digest.
-// The run is deterministic in seed.
+// The run is deterministic in seed. Faults follow the aggregate rates
+// of cfg.Costs; per-node (cfg.Nodes) or factory (cfg.Faults) fault
+// processes are rejected, and cfg.NewWorkload is replaced by w.
 func RunWorkload(cfg ExecConfig, w Workload, seed uint64) (ExecReport, error) {
-	e, err := sim.NewExecSim(cfg, sim.FromWorkload(w), rngx.NewStream(seed, "respeed/exec"))
-	if err != nil {
-		return ExecReport{}, err
-	}
-	return e.Run()
+	cfg.NewWorkload = func() *engine.Runner { return engine.FromWorkload(w) }
+	return cfg.RunOn(rngx.NewStream(seed, "respeed/exec"))
 }
 
 // NewHeatWorkload, NewStreamWorkload and NewMatVecWorkload construct the
@@ -238,7 +248,7 @@ func SimulatePatternsParallel(cfg Config, plan Plan, n int, seed uint64, workers
 func SimulatePatternsParallelCtx(ctx context.Context, cfg Config, plan Plan, n int, seed uint64, workers int) (Estimate, error) {
 	p := core.FromConfig(cfg)
 	costs := Costs{C: p.C, V: p.V, R: p.R, LambdaS: p.Lambda}
-	return sim.ReplicateParallelCtx(ctx, plan, costs, PowerModelFor(cfg), seed, n, workers)
+	return engine.ReplicatePatternParallelCtx(ctx, plan, costs, PowerModelFor(cfg), seed, n, workers)
 }
 
 // SolveCombined solves the BiCrit problem numerically under both
@@ -435,7 +445,7 @@ func DebugHandler() http.Handler { return obs.DebugHandler() }
 
 // PartialExec configures intermediate partial verifications in the
 // full-stack simulator (the executable counterpart of PartialPattern).
-type PartialExec = sim.PartialExec
+type PartialExec = engine.Partial
 
 // GanttTrace renders a recorded schedule as an ASCII timeline, one row
 // per pattern attempt — the textual Figure 1.
@@ -446,30 +456,128 @@ func GanttTrace(events []trace.Event, width int) string {
 // TraceEvent is one timestamped schedule event.
 type TraceEvent = trace.Event
 
-// TwoLevelConfig and TwoLevelReport expose the two-level (memory+disk)
-// checkpointing simulator; RunTwoLevel executes one application under it.
-type (
-	TwoLevelConfig = sim.TwoLevelConfig
-	TwoLevelReport = sim.TwoLevelReport
-)
+// TwoLevelConfig configures two-level checkpointing, the multi-level
+// setting of the paper's reference [Benoit, Cavelan, Robert, Sun,
+// IPDPS 2016]: cheap in-memory checkpoints after every pattern handle
+// silent errors, expensive disk checkpoints every DiskEvery patterns
+// survive fail-stop crashes (which wipe memory). A fail-stop error
+// therefore rolls the execution back up to DiskEvery−1 committed
+// patterns — the trade-off the disk interval k optimizes.
+type TwoLevelConfig struct {
+	// Plan is the per-pattern policy (W, σ1, σ2). Re-executions after
+	// any error run at σ2, including the catch-up re-execution of
+	// patterns lost to a disk rollback.
+	Plan Plan
+	// Costs supplies V, R (memory-level recovery) and the error rates;
+	// Costs.C is ignored — the two-level costs below replace it.
+	Costs Costs
+	// MemC is the in-memory checkpoint cost (seconds); DiskC the disk
+	// checkpoint cost; DiskR the disk recovery cost.
+	MemC, DiskC, DiskR float64
+	// DiskEvery is k ≥ 1: a disk checkpoint follows every k-th pattern.
+	DiskEvery int
+	// Model prices energy. Memory checkpoints bill I/O power like disk
+	// ones (the paper's single Pio abstraction).
+	Model PowerModel
+	// TotalWork is the application size in work units; it must be a
+	// positive multiple of Plan.W (two-level rollback bookkeeping works
+	// in whole patterns).
+	TotalWork float64
+	// Detector verifies state; nil selects FNV-64a.
+	Detector detect.Detector
+}
+
+// tier returns the configuration's memory+disk checkpoint costs.
+func (c TwoLevelConfig) tier() engine.TwoLevelSpec {
+	return engine.TwoLevelSpec{MemC: c.MemC, DiskC: c.DiskC, DiskR: c.DiskR, Every: c.DiskEvery}
+}
+
+// Validate checks the configuration.
+func (c TwoLevelConfig) Validate() error {
+	if err := c.Plan.Validate(); err != nil {
+		return err
+	}
+	if err := c.Costs.Validate(); err != nil {
+		return err
+	}
+	if err := c.tier().Validate(); err != nil {
+		return err
+	}
+	if c.TotalWork <= 0 {
+		return fmt.Errorf("respeed: TotalWork must be positive")
+	}
+	if n := c.TotalWork / c.Plan.W; n != float64(int(n)) {
+		return fmt.Errorf("respeed: TotalWork (%g) must be a whole multiple of W (%g)", c.TotalWork, c.Plan.W)
+	}
+	return nil
+}
+
+// TwoLevelReport summarizes a two-level execution.
+type TwoLevelReport struct {
+	// Makespan and Energy as in ExecReport.
+	Makespan, Energy float64
+	// Patterns is the application's pattern count; Executions counts
+	// every pattern execution including re-executions and disk-rollback
+	// catch-up work.
+	Patterns, Executions int
+	// MemCommits, DiskCommits count checkpoints by level.
+	MemCommits, DiskCommits int
+	// SilentErrors and FailStops count errors; MemRecoveries and
+	// DiskRecoveries the rollbacks by level.
+	SilentErrors, FailStops       int
+	MemRecoveries, DiskRecoveries int
+	// PatternsLost is the total committed patterns re-done because a
+	// fail-stop wiped the memory level.
+	PatternsLost int
+	// StateDigest fingerprints the final state.
+	StateDigest detect.Digest
+}
 
 // RunTwoLevel executes a workload under two-level checkpointing:
 // in-memory checkpoints absorb silent errors, disk checkpoints every
 // DiskEvery patterns absorb fail-stop crashes (which wipe memory and
-// roll back up to DiskEvery−1 patterns).
+// roll back up to DiskEvery−1 patterns). Energy is a plain running sum
+// over segments (unlike RunWorkload's compensated meter), which keeps
+// its bits stable for existing callers.
 func RunTwoLevel(cfg TwoLevelConfig, w Workload, seed uint64) (TwoLevelReport, error) {
-	s, err := sim.NewTwoLevelSim(cfg, sim.FromWorkload(w), rngx.NewStream(seed, "respeed/twolevel"))
+	if err := cfg.Validate(); err != nil {
+		return TwoLevelReport{}, err
+	}
+	total := int(cfg.TotalWork / cfg.Plan.W)
+	app, err := engine.NewApp(engine.AppConfig{
+		Plan:     cfg.Plan,
+		Verify:   cfg.Costs.V,
+		Sizes:    engine.WholePatterns(total, cfg.Plan.W),
+		Faults:   engine.NewAggregateFaults(cfg.Costs.LambdaS, cfg.Costs.LambdaF, rngx.NewStream(seed, "respeed/twolevel")),
+		Tier:     engine.NewTwoLevel(cfg.tier(), cfg.Costs.R, total),
+		Recorder: engine.NewSumRecorder(cfg.Model),
+		Detector: cfg.Detector,
+	}, engine.FromWorkload(w))
 	if err != nil {
 		return TwoLevelReport{}, err
 	}
-	return s.Run()
+	rep, err := app.Run()
+	return TwoLevelReport{
+		Makespan:       rep.Makespan,
+		Energy:         rep.Energy,
+		Patterns:       total,
+		Executions:     rep.Attempts,
+		MemCommits:     rep.MemCommits,
+		DiskCommits:    rep.DiskCommits,
+		SilentErrors:   rep.SilentInjected,
+		FailStops:      rep.FailStops,
+		MemRecoveries:  rep.MemRecoveries,
+		DiskRecoveries: rep.DiskRecoveries,
+		PatternsLost:   rep.PatternsLost,
+		StateDigest:    rep.StateDigest,
+	}, err
 }
 
 // Scenario is the unified engine composition: any combination of a
 // fault process (aggregate rates or per-node processes), a checkpoint
 // tier (single-level or memory+disk) and a verification discipline
 // (guaranteed, partial+guaranteed, or none) runs through the one
-// discrete-event core — including combinations the original siloed
+// simulation core — including combinations the original siloed
 // simulators could not express, e.g. a multi-node cluster under
 // two-level checkpointing, or partial verification with fail-stop
 // errors. Leave Scenario.NewWorkload nil and pass a workload factory to
@@ -496,7 +604,7 @@ func UniformScenarioNodes(n int, totalSilentRate, totalFailStopRate float64) []C
 // The run is deterministic in seed.
 func RunScenario(sc Scenario, mk func() Workload, seed uint64) (ScenarioReport, error) {
 	if mk != nil {
-		sc.NewWorkload = func() *sim.Runner { return sim.FromWorkload(mk()) }
+		sc.NewWorkload = func() *engine.Runner { return engine.FromWorkload(mk()) }
 	}
 	return sc.Run(seed)
 }
@@ -514,7 +622,7 @@ func ReplicateScenario(sc Scenario, mk func() Workload, seed uint64, n, workers 
 // returned.
 func ReplicateScenarioCtx(ctx context.Context, sc Scenario, mk func() Workload, seed uint64, n, workers int) (Estimate, error) {
 	if mk != nil {
-		sc.NewWorkload = func() *sim.Runner { return sim.FromWorkload(mk()) }
+		sc.NewWorkload = func() *engine.Runner { return engine.FromWorkload(mk()) }
 	}
 	return engine.ReplicateScenarioCtx(ctx, sc, seed, n, workers)
 }

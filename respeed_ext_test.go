@@ -204,3 +204,49 @@ func itoa(n int) string {
 	}
 	return string(rune('0' + n))
 }
+
+func TestFacadeTwoLevelValidate(t *testing.T) {
+	good := respeed.TwoLevelConfig{
+		Plan:      respeed.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
+		Costs:     respeed.Costs{V: 15.4, R: 30, LambdaF: 2e-3},
+		MemC:      20,
+		DiskC:     300,
+		DiskR:     300,
+		DiskEvery: 4,
+		TotalWork: 1000,
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*respeed.TwoLevelConfig){
+		"k=0":                    func(c *respeed.TwoLevelConfig) { c.DiskEvery = 0 },
+		"non-multiple TotalWork": func(c *respeed.TwoLevelConfig) { c.TotalWork = 1025 },
+		"negative MemC":          func(c *respeed.TwoLevelConfig) { c.MemC = -1 },
+		"zero TotalWork":         func(c *respeed.TwoLevelConfig) { c.TotalWork = 0 },
+		"zero σ1":                func(c *respeed.TwoLevelConfig) { c.Plan.Sigma1 = 0 },
+	} {
+		bad := good
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s should be rejected", name)
+		}
+		if _, err := respeed.RunTwoLevel(bad, respeed.NewStreamWorkload(1, 8), 1); err == nil {
+			t.Errorf("RunTwoLevel should reject %s", name)
+		}
+	}
+}
+
+func TestFacadeRunWorkloadRejectsPerNodeFaults(t *testing.T) {
+	cfg, _ := respeed.ConfigByName("Hera/XScale")
+	p := respeed.ParamsFor(cfg)
+	_, err := respeed.RunWorkload(respeed.ExecConfig{
+		Plan:      respeed.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
+		Costs:     respeed.Costs{C: p.C, V: p.V, R: p.R},
+		Model:     respeed.PowerModelFor(cfg),
+		TotalWork: 500,
+		Nodes:     respeed.UniformScenarioNodes(4, 2e-3, 0),
+	}, respeed.NewHeatWorkload(64, 0.25), 1)
+	if err == nil {
+		t.Error("RunWorkload draws from one stream and should reject per-node faults")
+	}
+}
