@@ -3,8 +3,10 @@
 // detector ("this approach is agnostic of the nature of the verification
 // mechanism"); what matters is that a verification at the end of a
 // pattern reliably flags state corrupted since the last verified
-// checkpoint. We provide digest-based detectors (FNV-64a and CRC-32) and
-// a replica comparator, all operating on real state bytes.
+// checkpoint. We provide digest-based detectors (FNV-64a and CRC-32), a
+// guaranteed verifier that compares a state's digest with a reference
+// digest or reference bytes, and a sampled-window partial verifier, all
+// operating on real state bytes.
 package detect
 
 import (
@@ -19,7 +21,10 @@ type Digest uint64
 type Detector interface {
 	// Name identifies the mechanism.
 	Name() string
-	// Sum fingerprints the state.
+	// Sum fingerprints the state. It must be a pure function of the
+	// bytes: the engine digests the clean reference trajectory once per
+	// call and compares every run's live state against those stored
+	// digests, which is sound only if equal bytes always sum equal.
 	Sum(state []byte) Digest
 }
 
@@ -61,9 +66,8 @@ func (CRC32C) Sum(state []byte) Digest {
 }
 
 // Verifier compares live state against a reference (the paper's
-// verification step). The reference digest is pinned whenever the
-// execution is known-good: after recovery from a verified checkpoint, or
-// after a verified pattern completes.
+// verification step): either the reference bytes themselves (Verify) or
+// a digest of them taken ahead of time (VerifyDigest).
 type Verifier struct {
 	det Detector
 	// Counters.
@@ -96,8 +100,15 @@ func (v *Verifier) Detector() Detector { return v.det }
 // deliberate: experiment harnesses assert that the number of checks
 // equals the number of pattern attempts.
 func (v *Verifier) Verify(state, reference []byte) bool {
+	return v.VerifyDigest(state, v.det.Sum(reference))
+}
+
+// VerifyDigest is Verify against a precomputed reference digest: it
+// digests only state, and counts the check and any detection exactly as
+// Verify does.
+func (v *Verifier) VerifyDigest(state []byte, reference Digest) bool {
 	v.checks++
-	ok := v.det.Sum(state) == v.det.Sum(reference)
+	ok := v.det.Sum(state) == reference
 	if !ok {
 		v.detections++
 	}

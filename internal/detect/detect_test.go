@@ -102,6 +102,30 @@ func TestVerifierCountsAndDetects(t *testing.T) {
 	}
 }
 
+// TestVerifyDigestMatchesVerify requires the precomputed-reference check
+// to decide and count exactly as the two-state check does.
+func TestVerifyDigestMatchesVerify(t *testing.T) {
+	clean := []byte("the quick brown fox")
+	dirty := append([]byte(nil), clean...)
+	dirty[3] ^= 0x40
+	for _, det := range []Detector{FNV64{}, CRC32C{}} {
+		a, b := NewVerifier(det), NewVerifier(det)
+		ref := det.Sum(clean)
+		for _, state := range [][]byte{clean, dirty, clean, dirty, dirty} {
+			if got, want := b.VerifyDigest(state, ref), a.Verify(state, clean); got != want {
+				t.Fatalf("%s: VerifyDigest = %v, Verify = %v", det.Name(), got, want)
+			}
+		}
+		if a.Checks() != b.Checks() || a.Detections() != b.Detections() {
+			t.Fatalf("%s: counts diverged: Verify %d/%d, VerifyDigest %d/%d", det.Name(),
+				a.Checks(), a.Detections(), b.Checks(), b.Detections())
+		}
+		if b.Checks() != 5 || b.Detections() != 3 {
+			t.Fatalf("%s: VerifyDigest counted %d checks, %d detections; want 5, 3", det.Name(), b.Checks(), b.Detections())
+		}
+	}
+}
+
 func TestVerifierDefaultsToFNV(t *testing.T) {
 	v := NewVerifier(nil)
 	if v.Detector().Name() != "fnv64a" {

@@ -109,11 +109,24 @@ type Report struct {
 
 // App drives a real state-carrying workload through the composed
 // policies: fault injection flips bits in real state, verification
-// compares digests against a clean replica, checkpoints store real
-// bytes, recovery restores them.
+// compares the live state's digest with the clean reference trajectory,
+// checkpoints store real bytes, recovery restores them.
+//
+// The reference is computed once, not stepped alongside every run: by
+// the Workload determinism contract the clean state after pattern k is
+// the same bytes in every run and on every retry, and every rollback
+// restores a verified checkpoint equal to the reference at its pattern.
+// Only partial verification keeps a live clean replica, because its
+// sampled windows compare raw bytes at segment boundaries.
 type App struct {
-	cfg      AppConfig
-	main     *Runner
+	cfg  AppConfig
+	main *Runner
+	// ref[k] digests the clean state after sizes[0..k] (nil under
+	// SkipVerification and Partial); it is read-only and may be shared
+	// by concurrent runs.
+	ref []detect.Digest
+	// replica is the live clean copy partial verification samples (nil
+	// otherwise); the tiers roll it back alongside main.
 	replica  *Runner
 	verifier *detect.Verifier
 	rec      Recorder
@@ -153,14 +166,20 @@ func NewApp(cfg AppConfig, wl *Runner) (*App, error) {
 			return nil, fmt.Errorf("engine: Partial requires a sampled verifier")
 		}
 	}
-	return &App{
+	x := &App{
 		cfg:      cfg,
 		main:     wl,
-		replica:  wl.clone(),
 		verifier: detect.NewVerifier(cfg.Detector),
 		rec:      cfg.Recorder,
 		trace:    cfg.Trace,
-	}, nil
+	}
+	switch {
+	case cfg.Partial != nil:
+		x.replica = wl.clone()
+	case !cfg.SkipVerification:
+		x.ref = referenceDigests(make([]detect.Digest, 0, len(cfg.Sizes)), wl.clone(), cfg.Sizes, x.verifier.Detector())
+	}
+	return x, nil
 }
 
 // injectSDC corrupts the main workload's live state through a
@@ -170,6 +189,20 @@ func (x *App) injectSDC() error {
 	x.cfg.Faults.Corrupt(x.corruptBuf)
 	if err := x.main.restore(x.corruptBuf); err != nil {
 		return fmt.Errorf("engine: inject SDC: %w", err)
+	}
+	return nil
+}
+
+// restore rolls the workload — and the partial-verification replica,
+// when there is one — back to a verified checkpoint.
+func (x *App) restore(state []byte) error {
+	if err := x.main.restore(state); err != nil {
+		return fmt.Errorf("engine: restore main: %w", err)
+	}
+	if x.replica != nil {
+		if err := x.replica.restore(state); err != nil {
+			return fmt.Errorf("engine: restore replica: %w", err)
+		}
 	}
 	return nil
 }
@@ -234,12 +267,10 @@ func (x *App) Run() (Report, error) {
 			continue
 		}
 
-		// Advance BOTH the main workload and the clean replica by the
-		// same work; then possibly corrupt the main state. The replica
-		// is the verification reference — the "application-specific
-		// check" the paper abstracts as V.
+		// Advance the workload, then possibly corrupt its state. The
+		// verification below compares it with the clean reference — the
+		// "application-specific check" the paper abstracts as V.
 		x.main.advance(w)
-		x.replica.advance(w)
 		if out.Silent {
 			if err := x.injectSDC(); err != nil {
 				return x.finish(), err
@@ -258,13 +289,6 @@ func (x *App) Run() (Report, error) {
 				return x.finish(), err
 			}
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.PatternDone, Pattern: pattern, Attempt: attempt})
-			if out.Silent {
-				// Keep the replica in lockstep with the now-corrupted
-				// truth so later digests compare whole-run outcomes.
-				if err := x.replica.restore(x.main.state()); err != nil {
-					return x.finish(), fmt.Errorf("engine: replica sync: %w", err)
-				}
-			}
 			x.rep.Patterns++
 			pattern++
 			errored = false
@@ -273,7 +297,7 @@ func (x *App) Run() (Report, error) {
 
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma})
 		x.rec.Advance(verifyDur, energy.Verify, sigma)
-		if !x.verifier.Verify(x.main.state(), x.replica.state()) {
+		if !x.verifier.VerifyDigest(x.main.state(), x.ref[pattern]) {
 			x.rep.SilentDetected++
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: "digest mismatch"})
 			resume, err := x.cfg.Tier.OnVerifyFail(x, pattern)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"respeed/internal/rngx"
+	"respeed/internal/workload"
 )
 
 // benchPattern builds the abstract pattern engine with frequent errors
@@ -108,6 +109,36 @@ func BenchmarkReplicateScenario(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReplicateScenario(sc, uint64(i+1), 50, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// simulateShapeScenario is the scenario the end-to-end simulate
+// workload serves: the cluster-twolevel composition (four nodes,
+// memory+disk checkpoints every third pattern) on a 16×16 heat2d
+// kernel with short W=5 patterns, so verification digests and state
+// serialization weigh heavily in every run.
+func simulateShapeScenario() Scenario {
+	sc := testScenario()
+	sc.Plan.W = 5
+	sc.Costs.LambdaS = 0
+	sc.Nodes = UniformNodes(4, 2e-3, 5e-4)
+	sc.TwoLevel = &TwoLevelSpec{MemC: 1.5, DiskC: 6, DiskR: 12, Every: 3}
+	sc.NewWorkload = func() *Runner { return FromWorkload(workload.NewHeat2D(16, 0.2)) }
+	return sc
+}
+
+// BenchmarkReplicateScenarioSimulate replicates the simulate shape at
+// the served replication count (n=8), reference trajectory included.
+func BenchmarkReplicateScenarioSimulate(b *testing.B) {
+	sc := simulateShapeScenario()
+	if _, err := ReplicateScenario(sc, 1, 8, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReplicateScenario(sc, uint64(i+1), 8, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,10 +22,14 @@
 // no application state) — the statistical workhorse behind the
 // Monte-Carlo validations and the node-aggregation check. App drives a
 // real state-carrying workload through the full protocol — fault
-// injection flips bits in real state, verification compares digests
-// against a clean replica, checkpoints store real bytes — and Scenario
-// composes it declaratively (multi-node + two-level, partial
-// verification + fail-stop, ...).
+// injection flips bits in real state, verification compares the live
+// state's digest with a clean reference trajectory digested once per
+// call, checkpoints store real bytes — and Scenario composes it
+// declaratively (multi-node + two-level, partial verification +
+// fail-stop, ...). The reference is sound because workloads are
+// deterministic (package workload) and detectors are pure functions of
+// the bytes (package detect); only partial verification, whose sampled
+// windows compare raw bytes, steps a live clean replica.
 //
 // Every executor is deterministic given its seed material and preserves
 // the legacy simulators' exact float-operation and RNG-draw order, so

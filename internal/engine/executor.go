@@ -172,6 +172,17 @@ func (e *Executor) FanOut(ctx context.Context, chunks, workers int, run func(chu
 	}
 
 	t := &fanTask{ctx: ctx, run: run, idx: make(chan int)}
+	e.feed(t, chunks, workers)
+	if err := t.firstErr(); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+// feed recruits workers evaluators for t, feeds them chunk indices
+// until every chunk is fed or the task aborts, and waits for every fed
+// chunk to finish. It returns how many chunks it fed.
+func (e *Executor) feed(t *fanTask, chunks, workers int) int {
 	recruited := 0
 	for i := 0; i < workers; i++ {
 		select {
@@ -184,17 +195,15 @@ func (e *Executor) FanOut(ctx context.Context, chunks, workers int, run func(chu
 	for ; recruited < workers; recruited++ {
 		go t.work()
 	}
-	for c := 0; c < chunks; c++ {
-		if t.aborted.Load() || ctx.Err() != nil {
+	fed := 0
+	for ; fed < chunks; fed++ {
+		if t.aborted.Load() || t.ctx.Err() != nil {
 			break
 		}
 		t.wg.Add(1)
-		t.idx <- c
+		t.idx <- fed
 	}
 	close(t.idx)
 	t.wg.Wait()
-	if err := t.firstErr(); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return fed
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,21 +102,55 @@ func TestFanOutCancelSkipsChunks(t *testing.T) {
 	}
 }
 
+// TestFanOutFirstErrorAborts checks both halves of the abort contract
+// on two workers: once chunk 5's error is recorded no further chunk
+// starts, and the feed stops. Chunks after 5 hold their worker until
+// the abort is recorded, so the feed cannot drain the remaining chunks
+// through the other worker while the failing one is descheduled
+// between returning its error and recording it. The outcome is then
+// fixed: chunks 0–6 at most start, and at most one chunk is fed after
+// them (to the failing worker, which skips it).
 func TestFanOutFirstErrorAborts(t *testing.T) {
 	boom := fmt.Errorf("chunk failure")
-	var ran atomic.Int32
+	task := &fanTask{ctx: context.Background(), idx: make(chan int)}
+	var started [1000]atomic.Bool
+	task.run = func(c int) error {
+		started[c].Store(true)
+		switch {
+		case c == 5:
+			return boom
+		case c > 5:
+			deadline := time.Now().Add(10 * time.Second)
+			for !task.aborted.Load() {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("chunk %d: the abort was never recorded", c)
+				}
+				runtime.Gosched()
+			}
+		}
+		return nil
+	}
+	fed := SharedExecutor().feed(task, len(started), 2)
+	if err := task.firstErr(); !errors.Is(err, boom) {
+		t.Fatalf("first error = %v, want the chunk error", err)
+	}
+	for c := 7; c < len(started); c++ {
+		if started[c].Load() {
+			t.Fatalf("chunk %d started after chunk 5's error was recorded", c)
+		}
+	}
+	if fed > 8 {
+		t.Errorf("fed %d chunks; the feed must stop once the abort is recorded", fed)
+	}
+	// And through the public entry point: the chunk error is returned.
 	err := SharedExecutor().FanOut(context.Background(), 1000, 2, func(c int) error {
-		ran.Add(1)
 		if c == 5 {
 			return boom
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the chunk error", err)
-	}
-	if n := ran.Load(); int(n) == 1000 {
-		t.Error("an early chunk error should abort the remaining chunks")
+		t.Fatalf("FanOut err = %v, want the chunk error", err)
 	}
 }
 

@@ -1,18 +1,28 @@
 package engine
 
-import "respeed/internal/workload"
+import (
+	"respeed/internal/detect"
+	"respeed/internal/workload"
+)
 
 // Runner adapts any workload-like value for the full-stack executor.
 // In practice callers pass package workload kernels through
 // FromWorkload; the functional form also lets tests inject minimal
 // fakes.
 type Runner struct {
-	name     string
-	advance  func(float64)
-	progress func() float64
-	state    func() []byte
-	restore  func([]byte) error
-	clone    func() *Runner
+	name      string
+	advanceFn func(float64)
+	progress  func() float64
+	stateFn   func() []byte
+	restoreFn func([]byte) error
+	clone     func() *Runner
+
+	// snap caches the serialized state until the next advance or
+	// restore, so the workload is serialized at most once per mutation:
+	// the digest a verification takes, the checkpoint the tier commits
+	// and the final report digest share one serialization.
+	snap    []byte
+	snapped bool
 
 	// fp identifies the wrapped kernel's constructor parameters when the
 	// kernel exposes a Fingerprint method (hasFP). The pooled scenario
@@ -26,19 +36,19 @@ type Runner struct {
 // NewRunner wraps explicit functions.
 func NewRunner(name string, advance func(float64), progress func() float64,
 	state func() []byte, restore func([]byte) error, clone func() *Runner) *Runner {
-	return &Runner{name: name, advance: advance, progress: progress,
-		state: state, restore: restore, clone: clone}
+	return &Runner{name: name, advanceFn: advance, progress: progress,
+		stateFn: state, restoreFn: restore, clone: clone}
 }
 
 // FromWorkload adapts a package workload kernel to a Runner.
 func FromWorkload(w workload.Workload) *Runner {
 	r := &Runner{
-		name:     w.Name(),
-		advance:  w.Advance,
-		progress: w.Progress,
-		state:    w.State,
-		restore:  w.Restore,
-		clone:    func() *Runner { return FromWorkload(w.Clone()) },
+		name:      w.Name(),
+		advanceFn: w.Advance,
+		progress:  w.Progress,
+		stateFn:   w.State,
+		restoreFn: w.Restore,
+		clone:     func() *Runner { return FromWorkload(w.Clone()) },
 	}
 	if f, ok := w.(interface{ Fingerprint() uint64 }); ok {
 		r.fp = f.Fingerprint()
@@ -52,3 +62,40 @@ func (r *Runner) Name() string { return r.name }
 
 // Clone returns an independent copy of the runner's workload.
 func (r *Runner) Clone() *Runner { return r.clone() }
+
+// advance performs units of work.
+func (r *Runner) advance(units float64) {
+	r.snapped = false
+	r.advanceFn(units)
+}
+
+// restore replaces the workload state with a snapshot.
+func (r *Runner) restore(state []byte) error {
+	r.snapped = false
+	return r.restoreFn(state)
+}
+
+// state returns the serialized workload state. Like Workload.State, the
+// slice aliases the workload's storage and is valid until the next
+// advance or restore.
+func (r *Runner) state() []byte {
+	if !r.snapped {
+		r.snap = r.stateFn()
+		r.snapped = true
+	}
+	return r.snap
+}
+
+// referenceDigests steps wl through sizes, one advance per pattern —
+// the granularity App uses — and returns ref with ref[k] the digest of
+// the state after sizes[0..k]: the clean trajectory every verification
+// of pattern k compares against. ref's backing array is reused when it
+// is large enough.
+func referenceDigests(ref []detect.Digest, wl *Runner, sizes []float64, det detect.Detector) []detect.Digest {
+	ref = ref[:0]
+	for _, w := range sizes {
+		wl.advance(w)
+		ref = append(ref, det.Sum(wl.state()))
+	}
+	return ref
+}

@@ -140,7 +140,11 @@ func (sc Scenario) RunOn(rng *rngx.Stream) (Report, error) {
 	if len(sc.Nodes) > 0 || sc.Faults != nil {
 		return Report{}, fmt.Errorf("engine: RunOn takes aggregate fault rates only, not Nodes or a Faults factory")
 	}
-	return sc.runWith(NewAggregateFaults(sc.Costs.LambdaS, sc.Costs.LambdaF, rng), rng.Child("partial-positions"), nil)
+	app, err := sc.appWith(NewAggregateFaults(sc.Costs.LambdaS, sc.Costs.LambdaF, rng), rng.Child("partial-positions"), nil)
+	if err != nil {
+		return Report{}, err
+	}
+	return app.Run()
 }
 
 // run builds the policy set under the given stream-name prefix and
@@ -164,19 +168,28 @@ func (sc Scenario) patternSizes() []float64 {
 // (nil recomputes it). App never mutates the slice, so concurrent runs
 // may share one.
 func (sc Scenario) runSized(seed uint64, prefix string, sizes []float64) (Report, error) {
+	app, err := sc.appSized(seed, prefix, sizes)
+	if err != nil {
+		return Report{}, err
+	}
+	return app.Run()
+}
+
+// appSized builds the App that runSized executes.
+func (sc Scenario) appSized(seed uint64, prefix string, sizes []float64) (*App, error) {
 	var fp FaultProcess
 	var sampledRNG interface{ Intn(int) int }
 	if sc.Faults != nil {
 		p, err := sc.Faults(seed, prefix)
 		if err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		fp = p
 		sampledRNG = rngx.NewStream(seed, prefix+"/partial-positions")
 	} else if len(sc.Nodes) > 0 {
 		pn, err := NewPerNodeFaults(sc.Nodes, seed, prefix)
 		if err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		fp = pn
 		sampledRNG = rngx.NewStream(seed, prefix+"/partial-positions")
@@ -187,13 +200,12 @@ func (sc Scenario) runSized(seed uint64, prefix string, sizes []float64) (Report
 		// process is unchanged by enabling partial checks.
 		sampledRNG = stream.Child("partial-positions")
 	}
-	return sc.runWith(fp, sampledRNG, sizes)
+	return sc.appWith(fp, sampledRNG, sizes)
 }
 
-// runWith assembles the App around a fault process and a
-// partial-position source and executes it once (nil sizes recomputes
-// the pattern sequence).
-func (sc Scenario) runWith(fp FaultProcess, sampledRNG interface{ Intn(int) int }, sizes []float64) (Report, error) {
+// appWith assembles the App around a fault process and a
+// partial-position source (nil sizes recomputes the pattern sequence).
+func (sc Scenario) appWith(fp FaultProcess, sampledRNG interface{ Intn(int) int }, sizes []float64) (*App, error) {
 	var tier Tier
 	if sizes == nil {
 		sizes = sc.patternSizes()
@@ -209,7 +221,7 @@ func (sc Scenario) runWith(fp FaultProcess, sampledRNG interface{ Intn(int) int 
 		sampled = detect.NewSampledVerifier(sc.Detector, sampledRNG, sc.Partial.Coverage)
 	}
 
-	app, err := NewApp(AppConfig{
+	return NewApp(AppConfig{
 		Plan:             sc.Plan,
 		Verify:           sc.Costs.V,
 		Sizes:            sizes,
@@ -223,10 +235,6 @@ func (sc Scenario) runWith(fp FaultProcess, sampledRNG interface{ Intn(int) int 
 		Partial:          sc.Partial,
 		Sampled:          sampled,
 	}, sc.NewWorkload())
-	if err != nil {
-		return Report{}, err
-	}
-	return app.Run()
 }
 
 // ReplicateScenario runs n independent executions of the scenario
@@ -261,6 +269,7 @@ func ReplicateScenarioValidatedCtx(ctx context.Context, sc Scenario, seed uint64
 	if err != nil {
 		return Estimate{}, err
 	}
+	defer c.release()
 	return chunkedFanOut(ctx, n, workers, sc.TotalWork, func(ctx context.Context, chunk, lo, hi int, acc *estimator) error {
 		return runScenarioRange(ctx, c, seed, lo, hi, acc)
 	})
@@ -315,6 +324,7 @@ func ReplicateScenarioChunkValidatedCtx(ctx context.Context, sc Scenario, seed u
 	if err != nil {
 		return ChunkEstimate{}, err
 	}
+	defer c.release()
 	acc := estimator{w: sc.TotalWork}
 	if err := runScenarioRange(ctx, c, seed, lo, hi, &acc); err != nil {
 		return ChunkEstimate{}, err

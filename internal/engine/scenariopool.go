@@ -16,7 +16,8 @@ import (
 // Historically every replication of ReplicateScenario rebuilt the whole
 // App — workload pair, fault injector, checkpoint tier, meter, verifier
 // — from scratch (~2.4k allocations per 50-run estimate). The pooled
-// path builds the campaign-wide pieces once per call, keeps the per-run
+// path builds the campaign-wide pieces once per call (including the
+// clean reference trajectory every run verifies against), keeps the per-run
 // pieces in a scratch recycled through a sync.Pool, and resets each
 // component in place to the exact state a fresh construction would
 // have, so the executions stay bit-identical to Scenario.runSized runs
@@ -25,9 +26,10 @@ import (
 
 // scenarioCampaign is the per-call shared context of a pooled scenario
 // replication: the validated scenario (trace hooks already cleared),
-// its precomputed pattern sizes, and a pristine prototype workload with
-// its serialized initial state. All fields are read-only once built and
-// shared across worker goroutines.
+// its precomputed pattern sizes, a pristine prototype workload with its
+// serialized initial state, and the clean reference trajectory every
+// run verifies against. All fields are read-only from construction to
+// release and shared across worker goroutines.
 type scenarioCampaign struct {
 	sc    Scenario
 	sizes []float64
@@ -37,21 +39,65 @@ type scenarioCampaign struct {
 	// deterministic fresh construction, so the clones are identical).
 	proto     *Runner
 	initState []byte
+
+	// ref[k] digests the clean state after sizes[0..k] (nil for blind
+	// and partial campaigns, which do not use it). It lives in refBuf,
+	// borrowed from refPool by buildRef until release.
+	ref    []detect.Digest
+	refBuf *[]detect.Digest
 }
 
-// newScenarioCampaign builds the shared context. sc must already be
-// validated, with Trace and Obs.TraceSink cleared.
+// newScenarioCampaign builds the shared context on the calling
+// goroutine, reference trajectory included. sc must already be
+// validated, with Trace and Obs.TraceSink cleared. The caller owns the
+// context until it calls release, which it must defer past the end of
+// the fan-out: every worker reads the reference.
 func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 	proto := sc.NewWorkload()
 	if proto == nil {
 		return nil, fmt.Errorf("engine: nil workload")
 	}
-	return &scenarioCampaign{
+	c := &scenarioCampaign{
 		sc:        sc,
 		sizes:     sc.patternSizes(),
 		proto:     proto,
 		initState: append([]byte(nil), proto.state()...),
-	}, nil
+	}
+	if err := c.buildRef(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// refPool recycles reference-trajectory buffers across calls.
+var refPool = sync.Pool{New: func() any { return new([]detect.Digest) }}
+
+// buildRef computes the campaign's reference trajectory into a pooled
+// buffer, stepping a pooled scratch workload from the initial state.
+func (c *scenarioCampaign) buildRef() error {
+	if c.sc.SkipVerification || c.sc.Partial != nil {
+		return nil
+	}
+	s := scenarioScratchPool.Get().(*scenarioScratch)
+	defer scenarioScratchPool.Put(s)
+	s.prepare(c)
+	if err := s.main.restore(c.initState); err != nil {
+		return fmt.Errorf("engine: reset reference workload: %w", err)
+	}
+	s.verifier.Reset(c.sc.Detector) // resolves a nil detector to FNV-64a
+	c.refBuf = refPool.Get().(*[]detect.Digest)
+	*c.refBuf = referenceDigests(*c.refBuf, s.main, c.sizes, s.verifier.Detector())
+	c.ref = *c.refBuf
+	return nil
+}
+
+// release returns the reference buffer to the pool; no run may read
+// c.ref afterwards.
+func (c *scenarioCampaign) release() {
+	if c.refBuf != nil {
+		refPool.Put(c.refBuf)
+		c.ref, c.refBuf = nil, nil
+	}
 }
 
 // scenarioScratch is the pooled per-chunk working set of scenario
@@ -71,12 +117,13 @@ type scenarioScratch struct {
 	two        TwoLevel
 	app        App
 
-	// The cached workload pair, with the witness identifying what it
-	// is: reusable only when the campaign's prototype has a matching
-	// name, constructor fingerprint and initial state. Workloads whose
-	// kernels expose no fingerprint are rebuilt per chunk — names and
-	// snapshots alone cannot prove interchangeability (Heat's diffusion
-	// coefficient appears in neither).
+	// The cached workload (and, for partial campaigns, its clean
+	// replica), with the witness identifying what it is: reusable only
+	// when the campaign's prototype has a matching name, constructor
+	// fingerprint and initial state. Workloads whose kernels expose no
+	// fingerprint are rebuilt per chunk — names and snapshots alone
+	// cannot prove interchangeability (Heat's diffusion coefficient
+	// appears in neither).
 	main, replica *Runner
 	wlName        string
 	wlFP          uint64
@@ -87,7 +134,8 @@ type scenarioScratch struct {
 var scenarioScratchPool = sync.Pool{New: func() any { return new(scenarioScratch) }}
 
 // prepare points the scratch at a campaign: wire the internal
-// references that survive pooling and establish the workload pair.
+// references that survive pooling and establish the workload (plus the
+// replica a partial campaign needs).
 func (s *scenarioScratch) prepare(c *scenarioCampaign) {
 	s.rec.meter = &s.meter
 	if !(s.haveWL &&
@@ -95,11 +143,14 @@ func (s *scenarioScratch) prepare(c *scenarioCampaign) {
 		s.wlName == c.proto.name &&
 		bytes.Equal(s.wlState, c.initState)) {
 		s.main = c.proto.Clone()
-		s.replica = c.proto.Clone()
+		s.replica = nil
 		s.wlName = c.proto.name
 		s.wlFP = c.proto.fp
 		s.wlState = append(s.wlState[:0], c.initState...)
 		s.haveWL = c.proto.hasFP
+	}
+	if c.sc.Partial != nil && s.replica == nil {
+		s.replica = c.proto.Clone()
 	}
 }
 
@@ -172,8 +223,12 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 	if err := s.main.restore(c.initState); err != nil {
 		return Report{}, fmt.Errorf("engine: reset workload: %w", err)
 	}
-	if err := s.replica.restore(c.initState); err != nil {
-		return Report{}, fmt.Errorf("engine: reset replica: %w", err)
+	var replica *Runner
+	if sc.Partial != nil {
+		replica = s.replica
+		if err := replica.restore(c.initState); err != nil {
+			return Report{}, fmt.Errorf("engine: reset replica: %w", err)
+		}
 	}
 
 	// Assemble the App by assignment — the configuration is the one
@@ -195,7 +250,8 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 			Sampled:          sampled,
 		},
 		main:       s.main,
-		replica:    s.replica,
+		ref:        c.ref,
+		replica:    replica,
 		verifier:   &s.verifier,
 		rec:        &s.rec,
 		corruptBuf: corruptBuf,

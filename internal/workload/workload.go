@@ -15,9 +15,16 @@ import (
 )
 
 // Workload is a divisible-load computation with checkpointable state.
-// Implementations are deterministic: the state after advancing a total of
-// u units from a given starting state depends only on u (this is what
-// makes verification-by-replica sound).
+//
+// Implementations are deterministic: the state after a sequence of
+// Advance calls depends only on the starting state and the units
+// advanced, and Restore of a snapshot fully re-establishes the state it
+// was taken from, whatever the workload did in between. Advancing
+// straight through a sequence of sizes therefore yields byte-equal
+// State() at every boundary to snapshotting, advancing, restoring and
+// re-advancing. The engine relies on this contract to compute the clean
+// reference trajectory once and verify every run, retry and rollback
+// against it; TestReferenceTrajectoryContract pins it for every kernel.
 type Workload interface {
 	// Name identifies the kernel.
 	Name() string
@@ -32,8 +39,8 @@ type Workload interface {
 	State() []byte
 	// Restore replaces the state with a previously serialized snapshot.
 	Restore(state []byte) error
-	// Clone returns an independent deep copy, used as the verification
-	// replica.
+	// Clone returns an independent deep copy (the engine steps one
+	// through the reference trajectory, and gives each worker its own).
 	Clone() Workload
 }
 
