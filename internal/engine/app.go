@@ -256,7 +256,6 @@ func (x *App) Run() (Report, error) {
 		if out.FailStop {
 			x.rec.Advance(out.FailStopAt, energy.Compute, sigma)
 			x.rep.FailStops++
-			x.cfg.Faults.NoteFailStop(out.FailNode)
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.FailStop, Pattern: pattern, Attempt: attempt, Speed: sigma})
 			resume, err := x.cfg.Tier.OnFailStop(x, pattern)
 			if err != nil {
@@ -276,7 +275,6 @@ func (x *App) Run() (Report, error) {
 				return x.finish(), err
 			}
 			x.rep.SilentInjected++
-			x.cfg.Faults.NoteSilent(out.SilentNode)
 		}
 		x.rec.Advance(computeDur, energy.Compute, sigma)
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.ComputeEnd, Pattern: pattern, Attempt: attempt, Speed: sigma})
@@ -370,10 +368,9 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 	span := float64(m)*segDur + float64(m-1)*partialDur + verifyDur
 
 	// Fail-stop errors may strike anywhere in the attempt span.
-	if at, node, hit := x.cfg.Faults.SampleFailStop(x.rec.Clock(), span); hit {
+	if at, hit := x.cfg.Faults.SampleFailStop(x.rec.Clock(), span); hit {
 		x.rec.Advance(at, energy.Compute, sigma)
 		x.rep.FailStops++
-		x.cfg.Faults.NoteFailStop(node)
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.FailStop, Pattern: pattern, Attempt: attempt, Speed: sigma})
 		resume, err := x.cfg.Tier.OnFailStop(x, pattern)
 		if err != nil {
@@ -386,12 +383,11 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 	for k := 1; k <= m; k++ {
 		x.main.advance(segWork)
 		x.replica.advance(segWork)
-		if node, hit := x.cfg.Faults.SampleSilent(segDur); hit {
+		if x.cfg.Faults.SampleSilent(segDur) {
 			if err := x.injectSDC(); err != nil {
 				return false, 0, err
 			}
 			x.rep.SilentInjected++
-			x.cfg.Faults.NoteSilent(node)
 		}
 		x.rec.Advance(segDur, energy.Compute, sigma)
 

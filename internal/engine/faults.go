@@ -18,14 +18,13 @@ type Outcome struct {
 	// A fail-stop anywhere in the window preempts the attempt, so a
 	// silent strike is only reported when no fail-stop occurred.
 	Silent bool
-	// FailNode and SilentNode attribute the errors to a node (-1 for
-	// aggregate processes).
-	FailNode, SilentNode int
 }
 
 // FaultProcess samples when errors strike an execution. Implementations
 // must be deterministic in their seed material; each preserves the RNG
-// draw order of the legacy simulator it replaces.
+// draw order of the legacy simulator it replaces. A process that
+// attributes errors to nodes counts every strike it reports, at the
+// moment it reports it, so executors must act on each one.
 type FaultProcess interface {
 	// SampleWindow samples one standard attempt window: a fail-stop
 	// anywhere in span seconds starting at now, and a silent error
@@ -34,61 +33,73 @@ type FaultProcess interface {
 	// SampleFailStop samples only the fail-stop process over span —
 	// the partial-verification path draws it separately from the
 	// per-segment silent checks.
-	SampleFailStop(now, span float64) (at float64, node int, hit bool)
+	SampleFailStop(now, span float64) (at float64, hit bool)
 	// SampleSilent samples only the silent process over dur.
-	SampleSilent(dur float64) (node int, hit bool)
-	// NoteFailStop and NoteSilent record that a sampled error was
-	// acted upon (per-node processes attribute it to the node).
-	NoteFailStop(node int)
-	NoteSilent(node int)
+	SampleSilent(dur float64) (hit bool)
 	// Corrupt flips state bits to materialize a silent error.
 	Corrupt(state []byte)
 }
 
 // AggregateFaults is the paper's platform model: one aggregated silent
-// process and one aggregated fail-stop process, sampled lazily from a
-// single stream (fail-stop first, then silent only if no fail-stop —
-// the historical injector draw order).
+// process (rate λs) and one aggregated fail-stop process (rate λf),
+// sampled lazily from a single stream — fail-stop first, then silent
+// only if no fail-stop struck. A zero rate or an empty window draws
+// nothing. Corruption draws from the same stream.
 type AggregateFaults struct {
-	inj *faults.Injector
+	lambdaS, lambdaF float64
+	rng              *rngx.Stream
 }
 
-// NewAggregateFaults builds the aggregate process on rng.
+// NewAggregateFaults builds the aggregate process on rng. It panics on
+// negative rates or a nil stream.
 func NewAggregateFaults(lambdaS, lambdaF float64, rng *rngx.Stream) *AggregateFaults {
-	return &AggregateFaults{inj: faults.New(lambdaS, lambdaF, rng)}
+	if lambdaS < 0 || lambdaF < 0 {
+		panic("engine: negative error rate")
+	}
+	if rng == nil {
+		panic("engine: nil rng stream")
+	}
+	return &AggregateFaults{lambdaS: lambdaS, lambdaF: lambdaF, rng: rng}
 }
 
-// Injector exposes the underlying fault injector (for stats).
-func (a *AggregateFaults) Injector() *faults.Injector { return a.inj }
+// failStopWithin draws a fail-stop arrival against a window of span
+// seconds and reports its offset when it strikes inside.
+func (a *AggregateFaults) failStopWithin(span float64) (float64, bool) {
+	if a.lambdaF == 0 || span <= 0 {
+		return 0, false
+	}
+	if at := a.rng.Exp(a.lambdaF); at < span {
+		return at, true
+	}
+	return 0, false
+}
+
+// silentWithin reports whether a silent arrival strikes within dur.
+func (a *AggregateFaults) silentWithin(dur float64) bool {
+	if a.lambdaS == 0 || dur <= 0 {
+		return false
+	}
+	return a.rng.Exp(a.lambdaS) < dur
+}
 
 // SampleWindow implements FaultProcess.
 func (a *AggregateFaults) SampleWindow(now, span, silentSpan float64) Outcome {
-	if at, hit := a.inj.FailStopWithin(span); hit {
-		return Outcome{FailStop: true, FailStopAt: at, FailNode: -1, SilentNode: -1}
+	if at, hit := a.failStopWithin(span); hit {
+		return Outcome{FailStop: true, FailStopAt: at}
 	}
-	return Outcome{FailStopAt: math.Inf(1), FailNode: -1, SilentNode: -1,
-		Silent: a.inj.SilentWithin(silentSpan)}
+	return Outcome{FailStopAt: math.Inf(1), Silent: a.silentWithin(silentSpan)}
 }
 
 // SampleFailStop implements FaultProcess.
-func (a *AggregateFaults) SampleFailStop(now, span float64) (float64, int, bool) {
-	at, hit := a.inj.FailStopWithin(span)
-	return at, -1, hit
+func (a *AggregateFaults) SampleFailStop(now, span float64) (float64, bool) {
+	return a.failStopWithin(span)
 }
 
 // SampleSilent implements FaultProcess.
-func (a *AggregateFaults) SampleSilent(dur float64) (int, bool) {
-	return -1, a.inj.SilentWithin(dur)
-}
-
-// NoteFailStop implements FaultProcess (no-op: nothing to attribute).
-func (a *AggregateFaults) NoteFailStop(int) {}
-
-// NoteSilent implements FaultProcess (no-op).
-func (a *AggregateFaults) NoteSilent(int) {}
+func (a *AggregateFaults) SampleSilent(dur float64) bool { return a.silentWithin(dur) }
 
 // Corrupt implements FaultProcess.
-func (a *AggregateFaults) Corrupt(state []byte) { a.inj.CorruptState(state) }
+func (a *AggregateFaults) Corrupt(state []byte) { faults.Corrupt(a.rng, state) }
 
 // Node is one machine of a multi-node platform.
 type Node struct {
@@ -144,12 +155,13 @@ func ValidateNodes(nodes []Node) error {
 // every node draws its next fail-stop and silent arrivals for the
 // window, and the earliest fail-stop preempts the attempt. Each node
 // consumes its own deterministic substream, so results are independent
-// of node-iteration internals.
+// of node-iteration internals. Every reported strike is counted
+// against the node it struck (PerNodeErrors).
 type PerNodeFaults struct {
 	nodes   []Node
 	rngs    []*rngx.Stream
 	clock   float64
-	corrupt *faults.Injector
+	corrupt *rngx.Stream
 	errors  []int
 }
 
@@ -170,7 +182,7 @@ func NewPerNodeFaults(nodes []Node, seed uint64, prefix string) (*PerNodeFaults,
 	}
 	// State corruption draws from a dedicated stream so enabling a
 	// real workload does not perturb the per-node arrival processes.
-	f.corrupt = faults.New(0, 0, rngx.NewStream(seed, prefix+"/corrupt"))
+	f.corrupt = rngx.NewStream(seed, prefix+"/corrupt")
 	return f, nil
 }
 
@@ -198,37 +210,44 @@ func (f *PerNodeFaults) windowStart(now float64) float64 {
 // to the next window.
 func (f *PerNodeFaults) SampleWindow(now, span, silentSpan float64) Outcome {
 	start := f.windowStart(now)
-	out := Outcome{FailStopAt: math.Inf(1), FailNode: -1, SilentNode: -1}
 	failAt, silentAt := math.Inf(1), math.Inf(1)
+	failNode, silentNode := -1, -1
 	for i, node := range f.nodes {
 		if node.FailStopRate > 0 {
 			if d := f.rngs[i].Exp(node.FailStopRate); d < span && start+d < failAt {
-				failAt, out.FailNode = start+d, i
+				failAt, failNode = start+d, i
 			}
 		}
 		if node.SilentRate > 0 {
 			if d := f.rngs[i].Exp(node.SilentRate); d < silentSpan && start+d < silentAt {
-				silentAt, out.SilentNode = start+d, i
+				silentAt, silentNode = start+d, i
 			}
 		}
 	}
 	f.clock = start + span
-	if out.FailNode >= 0 {
+	out := Outcome{FailStopAt: math.Inf(1)}
+	if failNode >= 0 {
 		out.FailStopAt = failAt - start
 	}
-	out.FailStop = out.FailStopAt < span
-	// A fail-stop anywhere in the window preempts the attempt, so the
-	// silent strike only matters without one.
-	if out.FailStop {
-		out.SilentNode = -1
+	// The hit test is on the reported offset: d < span can still round
+	// to (start+d)−start == span, and then no fail-stop struck.
+	if out.FailStopAt < span {
+		out.FailStop = true
+		f.errors[failNode]++
+		// A fail-stop anywhere in the window preempts the attempt, so
+		// the silent strike only matters without one.
+		return out
 	}
-	out.Silent = out.SilentNode >= 0
+	if silentNode >= 0 {
+		out.Silent = true
+		f.errors[silentNode]++
+	}
 	return out
 }
 
 // SampleFailStop implements FaultProcess: the same scan over the
 // fail-stop processes only.
-func (f *PerNodeFaults) SampleFailStop(now, span float64) (float64, int, bool) {
+func (f *PerNodeFaults) SampleFailStop(now, span float64) (float64, bool) {
 	start := f.windowStart(now)
 	first, node := math.Inf(1), -1
 	for i, n := range f.nodes {
@@ -243,12 +262,16 @@ func (f *PerNodeFaults) SampleFailStop(now, span float64) (float64, int, bool) {
 	if node >= 0 {
 		at = first - start
 	}
-	return at, node, at < span
+	if at < span {
+		f.errors[node]++
+		return at, true
+	}
+	return at, false
 }
 
 // SampleSilent implements FaultProcess: the earliest per-node silent
 // arrival within dur, if any.
-func (f *PerNodeFaults) SampleSilent(dur float64) (int, bool) {
+func (f *PerNodeFaults) SampleSilent(dur float64) bool {
 	best, node := math.Inf(1), -1
 	for i, n := range f.nodes {
 		if n.SilentRate > 0 {
@@ -257,22 +280,12 @@ func (f *PerNodeFaults) SampleSilent(dur float64) (int, bool) {
 			}
 		}
 	}
-	return node, node >= 0
-}
-
-// NoteFailStop implements FaultProcess.
-func (f *PerNodeFaults) NoteFailStop(node int) {
-	if node >= 0 {
-		f.errors[node]++
+	if node < 0 {
+		return false
 	}
-}
-
-// NoteSilent implements FaultProcess.
-func (f *PerNodeFaults) NoteSilent(node int) {
-	if node >= 0 {
-		f.errors[node]++
-	}
+	f.errors[node]++
+	return true
 }
 
 // Corrupt implements FaultProcess.
-func (f *PerNodeFaults) Corrupt(state []byte) { f.corrupt.CorruptState(state) }
+func (f *PerNodeFaults) Corrupt(state []byte) { faults.Corrupt(f.corrupt, state) }

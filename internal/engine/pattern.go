@@ -94,7 +94,6 @@ func (p *PatternEngine) RunPattern() PatternResult {
 		if out.FailStop {
 			rec.Advance(out.FailStopAt, energy.Compute, sigma)
 			res.FailStopErrors++
-			fp.NoteFailStop(out.FailNode)
 			p.emit(trace.Event{Time: rec.Clock(), Kind: trace.FailStop, Pattern: id, Attempt: attempt, Speed: sigma})
 			rec.Advance(p.cfg.Costs.R, energy.Recovery, 0)
 			p.emit(trace.Event{Time: rec.Clock(), Kind: trace.Recovery, Pattern: id, Attempt: attempt})
@@ -107,7 +106,6 @@ func (p *PatternEngine) RunPattern() PatternResult {
 			rec.Advance(computeDur+verifyDur, energy.Compute, sigma)
 			if out.Silent {
 				res.SilentErrors++
-				fp.NoteSilent(out.SilentNode)
 				p.emit(trace.Event{Time: rec.Clock(), Kind: trace.VerifyFail, Pattern: id, Attempt: attempt})
 				rec.Advance(p.cfg.Costs.R, energy.Recovery, 0)
 				p.emit(trace.Event{Time: rec.Clock(), Kind: trace.Recovery, Pattern: id, Attempt: attempt})
@@ -118,7 +116,6 @@ func (p *PatternEngine) RunPattern() PatternResult {
 			p.emit(trace.Event{Time: rec.Clock(), Kind: trace.ComputeEnd, Pattern: id, Attempt: attempt, Speed: sigma})
 			if out.Silent {
 				res.SilentErrors++
-				fp.NoteSilent(out.SilentNode)
 				p.emit(trace.Event{Time: rec.Clock(), Kind: trace.SilentError, Pattern: id, Attempt: attempt})
 			}
 

@@ -15,7 +15,7 @@ import (
 // PatternEngine event loop per replication. It is bit-exact with the
 // scalar path by construction:
 //
-//   - Draw identity. The injector's fail-stop and silent samplers each
+//   - Draw identity. AggregateFaults' fail-stop and silent samplers each
 //     consume exactly one Float64 per draw and compare the resulting
 //     exponential variate against the window. The kernel consumes the
 //     same uniforms in the same order from FillFloat64 batches (batch

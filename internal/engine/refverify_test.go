@@ -87,7 +87,6 @@ func legacyRun(x *App) (Report, error) {
 		if out.FailStop {
 			x.rec.Advance(out.FailStopAt, energy.Compute, sigma)
 			x.rep.FailStops++
-			x.cfg.Faults.NoteFailStop(out.FailNode)
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.FailStop, Pattern: pattern, Attempt: attempt, Speed: sigma})
 			resume, err := x.cfg.Tier.OnFailStop(x, pattern)
 			if err != nil {
@@ -109,7 +108,6 @@ func legacyRun(x *App) (Report, error) {
 				return x.finish(), err
 			}
 			x.rep.SilentInjected++
-			x.cfg.Faults.NoteSilent(out.SilentNode)
 		}
 		x.rec.Advance(computeDur, energy.Compute, sigma)
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.ComputeEnd, Pattern: pattern, Attempt: attempt, Speed: sigma})

@@ -10,9 +10,12 @@ import (
 
 // RenewalConfig composes a RenewalFaults process from windowed arrival
 // channels (renewal processes over arbitrary distributions, or
-// deterministic trace replay). It generalizes both legacy processes:
-// AggregateFaults is the special case of exponential renewal channels
-// with Nodes == 0, PerNodeFaults the per-node exponential case.
+// deterministic trace replay). It generalizes both legacy processes in
+// distribution, not in draw order: exponential renewal channels with
+// Nodes == 0 model AggregateFaults' platform, and per-node exponential
+// channels PerNodeFaults' nodes, but RenewalFaults advances every
+// channel on its own stream where AggregateFaults draws lazily from one
+// and PerNodeFaults scans per-node streams in absolute time.
 type RenewalConfig struct {
 	// Silent is the aggregate silent-error channel (nil: no silent
 	// errors).
@@ -68,10 +71,11 @@ func (c RenewalConfig) Validate() error {
 // so the draw sequence depends only on the sequence of windows, never on
 // which channel wins a window. Victim/spread/corruption draws come from
 // the dedicated RNG stream and happen only when their strike is the
-// window's winner.
+// window's winner; in per-node configurations every reported strike is
+// counted against its victim (PerNodeErrors).
 type RenewalFaults struct {
 	cfg     RenewalConfig
-	corrupt *faults.Injector
+	corrupt *rngx.Stream
 	errors  []int
 }
 
@@ -84,7 +88,7 @@ func NewRenewalFaults(cfg RenewalConfig) (*RenewalFaults, error) {
 	}
 	f := &RenewalFaults{
 		cfg:     cfg,
-		corrupt: faults.New(0, 0, cfg.RNG.Child("corrupt")),
+		corrupt: cfg.RNG.Child("corrupt"),
 	}
 	if cfg.Nodes > 0 {
 		f.errors = make([]int, cfg.Nodes)
@@ -102,12 +106,13 @@ func (f *RenewalFaults) PerNodeErrors() []int {
 }
 
 // sampleFail advances every fail-stop channel (and the burst channel) by
-// span and returns the earliest strike. A burst win additionally fells
-// spread victims, counted immediately — they are collateral of the same
-// physical event, not separate sampled errors.
-func (f *RenewalFaults) sampleFail(span float64) (at float64, node int, hit bool) {
+// span, returns the earliest strike and, when it hits a node, counts it
+// there. A burst win additionally fells spread victims, counted
+// immediately — they are collateral of the same physical event, not
+// separate sampled errors.
+func (f *RenewalFaults) sampleFail(span float64) (at float64, hit bool) {
 	at = math.Inf(1)
-	node = -1
+	node := -1
 	for i, ch := range f.cfg.FailStop {
 		if a, h := ch.Within(span); h && a < at {
 			at = a
@@ -131,12 +136,25 @@ func (f *RenewalFaults) sampleFail(span float64) (at float64, node int, hit bool
 			}
 		}
 	}
-	return at, node, at < span
+	hit = at < span
+	if hit && node >= 0 {
+		f.errors[node]++
+	}
+	return at, hit
+}
+
+// noteSilent attributes a reported silent strike. Per-node
+// configurations draw its victim from RNG — only here, so a window
+// whose silent strike a fail-stop preempted draws no victim.
+func (f *RenewalFaults) noteSilent() {
+	if f.cfg.Nodes > 0 {
+		f.errors[f.cfg.RNG.Intn(f.cfg.Nodes)]++
+	}
 }
 
 // SampleWindow implements FaultProcess.
 func (f *RenewalFaults) SampleWindow(now, span, silentSpan float64) Outcome {
-	at, node, hit := f.sampleFail(span)
+	at, hit := f.sampleFail(span)
 	// The silent channel is always advanced — fixed draw order — but a
 	// fail-stop anywhere in the window preempts the attempt, so its
 	// strike is only reported when no fail-stop occurred.
@@ -144,54 +162,35 @@ func (f *RenewalFaults) SampleWindow(now, span, silentSpan float64) Outcome {
 	if f.cfg.Silent != nil {
 		_, silentHit = f.cfg.Silent.Within(silentSpan)
 	}
-	out := Outcome{FailStopAt: at, FailNode: node, SilentNode: -1}
+	out := Outcome{FailStopAt: at}
 	if hit {
 		out.FailStop = true
 		return out
 	}
 	if silentHit {
 		out.Silent = true
-		if f.cfg.Nodes > 0 {
-			out.SilentNode = f.cfg.RNG.Intn(f.cfg.Nodes)
-		}
+		f.noteSilent()
 	}
 	return out
 }
 
 // SampleFailStop implements FaultProcess: the fail-stop channels only
 // (the partial-verification path draws silent checks separately).
-func (f *RenewalFaults) SampleFailStop(now, span float64) (float64, int, bool) {
+func (f *RenewalFaults) SampleFailStop(now, span float64) (float64, bool) {
 	return f.sampleFail(span)
 }
 
 // SampleSilent implements FaultProcess.
-func (f *RenewalFaults) SampleSilent(dur float64) (int, bool) {
+func (f *RenewalFaults) SampleSilent(dur float64) bool {
 	if f.cfg.Silent == nil {
-		return -1, false
+		return false
 	}
-	_, hit := f.cfg.Silent.Within(dur)
-	if !hit {
-		return -1, false
+	if _, hit := f.cfg.Silent.Within(dur); !hit {
+		return false
 	}
-	if f.cfg.Nodes > 0 {
-		return f.cfg.RNG.Intn(f.cfg.Nodes), true
-	}
-	return -1, true
-}
-
-// NoteFailStop implements FaultProcess.
-func (f *RenewalFaults) NoteFailStop(node int) {
-	if node >= 0 && f.errors != nil {
-		f.errors[node]++
-	}
-}
-
-// NoteSilent implements FaultProcess.
-func (f *RenewalFaults) NoteSilent(node int) {
-	if node >= 0 && f.errors != nil {
-		f.errors[node]++
-	}
+	f.noteSilent()
+	return true
 }
 
 // Corrupt implements FaultProcess.
-func (f *RenewalFaults) Corrupt(state []byte) { f.corrupt.CorruptState(state) }
+func (f *RenewalFaults) Corrupt(state []byte) { faults.Corrupt(f.corrupt, state) }

@@ -112,47 +112,123 @@ func TestRenewalFaultsExponentialBehaves(t *testing.T) {
 
 // TestRenewalBurstAttribution pins the correlated-burst semantics: the
 // burst channel's strikes pick a primary victim and spread collateral,
-// and PerNodeErrors reflects both.
+// and PerNodeErrors counts both as the window is sampled.
 func TestRenewalBurstAttribution(t *testing.T) {
 	const nodes = 4
-	chans := make([]faults.ArrivalSource, nodes)
-	for i := range chans {
-		chans[i] = faults.NewRenewal(faults.Exponential{Rate: 1e-9},
-			rngx.NewStreamIndexed(9, "burst/fail-", i))
+	build := func(spread float64) *RenewalFaults {
+		chans := make([]faults.ArrivalSource, nodes)
+		for i := range chans {
+			chans[i] = faults.NewRenewal(faults.Exponential{Rate: 1e-9},
+				rngx.NewStreamIndexed(9, "burst/fail-", i))
+		}
+		f, err := NewRenewalFaults(RenewalConfig{
+			FailStop: chans,
+			Burst: faults.NewRenewal(faults.Exponential{Rate: 1e-2},
+				rngx.NewStream(9, "burst/burst")),
+			BurstSpread: spread,
+			Nodes:       nodes,
+			RNG:         rngx.NewStream(9, "burst/aux"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	f, err := NewRenewalFaults(RenewalConfig{
-		FailStop: chans,
-		Burst: faults.NewRenewal(faults.Exponential{Rate: 1e-2},
-			rngx.NewStream(9, "burst/burst")),
-		BurstSpread: 1, // every burst fells every node
-		Nodes:       nodes,
-		RNG:         rngx.NewStream(9, "burst/aux"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursts := 0
-	for i := 0; i < 10_000; i++ {
-		out := f.SampleWindow(0, 60, 52)
-		if out.FailStop {
-			bursts++
-			if out.FailNode < 0 || out.FailNode >= nodes {
-				t.Fatalf("burst victim %d out of range", out.FailNode)
+	// sample runs 10k windows and returns, per burst, the nodes it
+	// felled (the per-node counts that window added).
+	sample := func(f *RenewalFaults) [][]int {
+		var felled [][]int
+		for i := 0; i < 10_000; i++ {
+			before := f.PerNodeErrors()
+			if out := f.SampleWindow(0, 60, 52); !out.FailStop {
+				continue
 			}
-			f.NoteFailStop(out.FailNode)
+			after := f.PerNodeErrors()
+			var hit []int
+			for n := range after {
+				switch after[n] - before[n] {
+				case 0:
+				case 1:
+					hit = append(hit, n)
+				default:
+					t.Fatalf("one burst counted node %d %d times", n, after[n]-before[n])
+				}
+			}
+			felled = append(felled, hit)
+		}
+		if len(felled) == 0 {
+			t.Fatal("expected bursts at rate 1e-2 over 10k windows")
+		}
+		return felled
+	}
+
+	// Spread 1 fells all 4 nodes per burst: primary + 3 collateral.
+	for i, hit := range sample(build(1)) {
+		if len(hit) != nodes {
+			t.Fatalf("burst %d felled nodes %v, want all %d", i, hit, nodes)
 		}
 	}
-	if bursts == 0 {
-		t.Fatal("expected bursts at rate 1e-2 over 10k windows")
+	// Spread 0 fells the primary victim alone, drawn over every node.
+	victims := map[int]bool{}
+	for i, hit := range sample(build(0)) {
+		if len(hit) != 1 {
+			t.Fatalf("burst %d felled nodes %v, want one primary victim", i, hit)
+		}
+		victims[hit[0]] = true
 	}
-	errs := f.PerNodeErrors()
-	total := 0
-	for _, e := range errs {
-		total += e
+	if len(victims) != nodes {
+		t.Errorf("primary victims %v, want every node", victims)
 	}
-	// Spread 1 fells all 4 nodes per burst: primary (noted) + 3 collateral.
-	if total != 4*bursts {
-		t.Errorf("per-node errors total %d, want %d (4 per burst)", total, 4*bursts)
+}
+
+// TestRenewalSilentVictimOnlyWhenReported pins the victim draw of a
+// per-node silent strike: it comes from the RNG stream only on windows
+// that report the strike, never on windows a fail-stop preempted.
+func TestRenewalSilentVictimOnlyWhenReported(t *testing.T) {
+	const nodes = 3
+	build := func(failRate float64) (*RenewalFaults, *rngx.Stream) {
+		chans := make([]faults.ArrivalSource, nodes)
+		for i := range chans {
+			chans[i] = faults.NewRenewal(faults.Exponential{Rate: failRate},
+				rngx.NewStreamIndexed(4, "victim/fail-", i))
+		}
+		f, err := NewRenewalFaults(RenewalConfig{
+			Silent: faults.NewRenewal(faults.Exponential{Rate: 10},
+				rngx.NewStream(4, "victim/silent")),
+			FailStop: chans,
+			Nodes:    nodes,
+			RNG:      rngx.NewStream(4, "victim/aux"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, rngx.NewStream(4, "victim/aux")
+	}
+
+	// Every window holds both strikes; the fail-stop preempts the
+	// silent one, so no victim is drawn and only fail-stops count.
+	f, aux := build(10)
+	for w := 0; w < 100; w++ {
+		if out := f.SampleWindow(0, 60, 52); !out.FailStop || out.Silent {
+			t.Fatalf("window %d: want a fail-stop preempting the silent strike, got %+v", w, out)
+		}
+	}
+	if got, want := f.cfg.RNG.Uint64(), aux.Uint64(); got != want {
+		t.Error("a preempted silent strike drew a victim")
+	}
+
+	// Without fail-stops every window reports the silent strike, and
+	// each draws its victim in turn.
+	f, aux = build(1e-12)
+	want := make([]int, nodes)
+	for w := 0; w < 100; w++ {
+		if out := f.SampleWindow(0, 60, 52); out.FailStop || !out.Silent {
+			t.Fatalf("window %d: want a silent strike only, got %+v", w, out)
+		}
+		want[aux.Intn(nodes)]++
+	}
+	if got := f.PerNodeErrors(); !reflect.DeepEqual(got, want) {
+		t.Errorf("silent victims %v, want %v", got, want)
 	}
 }
 

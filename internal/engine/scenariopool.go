@@ -8,7 +8,6 @@ import (
 
 	"respeed/internal/detect"
 	"respeed/internal/energy"
-	"respeed/internal/faults"
 	"respeed/internal/rngx"
 )
 
@@ -107,7 +106,6 @@ func (c *scenarioCampaign) release() {
 type scenarioScratch struct {
 	execRNG    rngx.Stream
 	sampledRNG rngx.Stream
-	inj        faults.Injector
 	agg        AggregateFaults
 	meter      energy.Meter
 	rec        MeterRecorder
@@ -190,8 +188,7 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 		}
 	default:
 		s.execRNG.ReseedIndexedSuffix(seed, "scenario/", i, "/exec")
-		s.inj.Reset(sc.Costs.LambdaS, sc.Costs.LambdaF, &s.execRNG)
-		s.agg = AggregateFaults{inj: &s.inj}
+		s.agg = AggregateFaults{lambdaS: sc.Costs.LambdaS, lambdaF: sc.Costs.LambdaF, rng: &s.execRNG}
 		fp = &s.agg
 		if sc.Partial != nil {
 			// The historical Child("partial-positions") derivation:

@@ -7,7 +7,6 @@ import (
 	"respeed/internal/core"
 	"respeed/internal/optimize"
 	"respeed/internal/platform"
-	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 )
 
@@ -38,7 +37,7 @@ func runAblationExact(o Options) (Result, error) {
 		samePair             bool
 		relW, relE           float64
 	}
-	pts := sweep.Map(platform.Configs(), o.Workers, func(i int, cfg platform.Config) (row, error) {
+	rows, err := parallelMap(platform.Configs(), o.Workers, func(i int, cfg platform.Config) (row, error) {
 		p := core.FromConfig(cfg)
 		speeds := cfg.Processor.Speeds
 		fo, err := p.Solve(speeds, defaultRho)
@@ -59,7 +58,6 @@ func runAblationExact(o Options) (Result, error) {
 		r.relE = math.Abs(r.eFO-r.eEX) / r.eEX
 		return r, nil
 	})
-	rows, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -102,7 +100,7 @@ func runGainsSummary(o Options) (Result, error) {
 		maxGain float64
 		atRho   float64
 	}
-	pts := sweep.Map(platform.Configs(), o.Workers, func(i int, cfg platform.Config) (row, error) {
+	rows, err := parallelMap(platform.Configs(), o.Workers, func(i int, cfg platform.Config) (row, error) {
 		p := core.FromConfig(cfg)
 		speeds := cfg.Processor.Speeds
 		r := row{config: cfg.Name(), gains: make([]float64, len(rhos)), atRho: math.NaN()}
@@ -119,7 +117,6 @@ func runGainsSummary(o Options) (Result, error) {
 		}
 		return r, nil
 	})
-	rows, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}

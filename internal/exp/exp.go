@@ -8,9 +8,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"respeed/internal/engine"
 	"respeed/internal/tablefmt"
 )
 
@@ -123,4 +125,41 @@ func IDs() []string {
 		ids[i] = e.ID
 	}
 	return ids
+}
+
+// parallelMap evaluates fn on every input across at most workers
+// concurrent calls (0 selects GOMAXPROCS) on the shared engine executor,
+// so experiment sweeps and the Monte-Carlo fan-outs they run draw from
+// one pool. Results come back in input order, so experiment output is
+// byte-stable across runs and core counts. fn must be safe for
+// concurrent invocation; each call receives its index so it can derive
+// per-point RNG streams. A panic in fn becomes that point's error, and
+// the lowest-index error is returned.
+func parallelMap[In, Out any](inputs []In, workers int, fn func(i int, in In) (Out, error)) ([]Out, error) {
+	out := make([]Out, len(inputs))
+	errs := make([]error, len(inputs))
+	// FanOut fails only on a cancelled context or a failing chunk, and
+	// neither can happen here: errors are kept per point instead, so
+	// the lowest index wins whatever order the points finish in.
+	_ = engine.SharedExecutor().FanOut(context.Background(), len(inputs), workers, func(i int) error {
+		out[i], errs[i] = recoverCall(i, inputs[i], fn)
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("exp: point %d: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// recoverCall runs fn on one input, converting a panic into an error so
+// one bad point cannot take down a whole sweep.
+func recoverCall[In, Out any](i int, in In, fn func(int, In) (Out, error)) (v Out, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return fn(i, in)
 }

@@ -13,7 +13,6 @@ import (
 	"respeed/internal/rngx"
 	"respeed/internal/schedule"
 	"respeed/internal/stats"
-	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 	"respeed/internal/workload"
 )
@@ -75,7 +74,7 @@ func runCombinedBiCrit(o Options) (Result, error) {
 		gain                  float64
 		outsideWindowFeasible int
 	}
-	pts := sweep.Map(fs, o.Workers, func(i int, f float64) (row, error) {
+	rows, err := parallelMap(fs, o.Workers, func(i int, f float64) (row, error) {
 		cp := p.Split(f)
 		best, grid, err := optimize.SolveCombined(cp, speeds, defaultRho)
 		if err != nil {
@@ -96,7 +95,6 @@ func runCombinedBiCrit(o Options) (Result, error) {
 		}
 		return r, nil
 	})
-	rows, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -237,7 +235,7 @@ func runClusterAggregation(o Options) (Result, error) {
 	want := p.ExpectedTime(plan.W, plan.Sigma1, plan.Sigma2)
 
 	nodeCounts := []float64{1, 2, 4, 8, 16, 32, 64}
-	pts := sweep.Run(nodeCounts, o.Workers, func(i int, nf float64) (engine.Estimate, error) {
+	ests, err := parallelMap(nodeCounts, o.Workers, func(i int, nf float64) (engine.Estimate, error) {
 		fp, err := engine.NewPerNodeFaults(engine.UniformNodes(int(nf), p.Lambda, 0), o.Seed+uint64(i), "cluster")
 		if err != nil {
 			return engine.Estimate{}, err
@@ -256,7 +254,6 @@ func runClusterAggregation(o Options) (Result, error) {
 		}
 		return engine.ReplicatePattern(eng, plan.W, o.Replications)
 	})
-	ests, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -372,7 +369,7 @@ func runTwoLevelK(o Options) (Result, error) {
 	if reps < 30 {
 		reps = 30
 	}
-	pts := sweep.Run(ks, o.Workers, func(i int, kf float64) (float64, error) {
+	means, err := parallelMap(ks, o.Workers, func(i int, kf float64) (float64, error) {
 		sc := engine.Scenario{
 			Plan:      engine.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
 			Costs:     engine.Costs{V: 15.4, R: 30, LambdaS: 5e-4, LambdaF: 2e-3},
@@ -396,7 +393,6 @@ func runTwoLevelK(o Options) (Result, error) {
 		}
 		return makespan.Mean(), nil
 	})
-	means, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -443,7 +439,7 @@ func runSpeedDesign(o Options) (Result, error) {
 	o = o.normalize()
 	rhos := []float64{1.775, 2.5, 3, 8}
 	tab := tablefmt.New("Config", "catalog mean E/W", "designed speeds", "designed mean E/W", "improvement")
-	pts := sweep.Map(platform.Configs(), o.Workers, func(i int, cfg platform.Config) ([]any, error) {
+	rows, err := parallelMap(platform.Configs(), o.Workers, func(i int, cfg platform.Config) ([]any, error) {
 		p := core.FromConfig(cfg)
 		speeds := cfg.Processor.Speeds
 		lo, hi := cfg.Processor.MinSpeed(), cfg.Processor.MaxSpeed()
@@ -460,7 +456,6 @@ func runSpeedDesign(o Options) (Result, error) {
 		return []any{cfg.Name(), catalogMean, strings.Join(spd, " "), res.Objective,
 			fmt.Sprintf("%.2f%%", 100*imp)}, nil
 	})
-	rows, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -8,7 +8,6 @@ import (
 	"respeed/internal/core"
 	"respeed/internal/mathx"
 	"respeed/internal/platform"
-	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 )
 
@@ -105,10 +104,9 @@ func runParamSweep(cfg platform.Config, param sweepParam, o Options, figName str
 	base := core.FromConfig(cfg)
 	speeds := cfg.Processor.Speeds
 	xs, logX := sweepValues(cfg, param, o.Points)
-	pts := sweep.Run(xs, o.Workers, func(i int, x float64) (figurePoint, error) {
+	vals, err := parallelMap(xs, o.Workers, func(i int, x float64) (figurePoint, error) {
 		return evalPoint(base, speeds, param, x), nil
 	})
-	vals, err := sweep.Values(pts)
 	if err != nil {
 		return nil, nil, err
 	}

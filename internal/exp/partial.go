@@ -7,7 +7,6 @@ import (
 	"respeed/internal/core"
 	"respeed/internal/mathx"
 	"respeed/internal/platform"
-	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 )
 
@@ -40,7 +39,7 @@ func runPartialVerification(o Options) (Result, error) {
 		saving float64
 		baseOK bool
 	}
-	pts := sweep.Run(lambdas, o.Workers, func(i int, l float64) (row, error) {
+	rows, err := parallelMap(lambdas, o.Workers, func(i int, l float64) (row, error) {
 		p := base
 		p.Lambda = l
 		r := row{lambda: l}
@@ -61,7 +60,6 @@ func runPartialVerification(o Options) (Result, error) {
 		}
 		return r, nil
 	})
-	rows, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}

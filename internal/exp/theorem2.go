@@ -7,7 +7,6 @@ import (
 	"respeed/internal/core"
 	"respeed/internal/mathx"
 	"respeed/internal/stats"
-	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 )
 
@@ -38,7 +37,7 @@ func runTheorem2(o Options) (Result, error) {
 	type point struct {
 		exact2x, thm2, exact1x, young float64
 	}
-	pts := sweep.Run(lambdas, o.Workers, func(i int, l float64) (point, error) {
+	vals, err := parallelMap(lambdas, o.Workers, func(i int, l float64) (point, error) {
 		fp := core.FailStopParams{Lambda: l, C: c, R: r}
 		w2x, err := mathx.MinimizeConvex1D(func(w float64) float64 {
 			return fp.ExactTimeFailStop(w, sigma, 2*sigma) / w
@@ -57,7 +56,6 @@ func runTheorem2(o Options) (Result, error) {
 			exact1x: w1x, young: fp.YoungDalyW(sigma),
 		}, nil
 	})
-	vals, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -9,7 +9,6 @@ import (
 	"respeed/internal/engine"
 	"respeed/internal/platform"
 	"respeed/internal/rngx"
-	"respeed/internal/sweep"
 	"respeed/internal/tablefmt"
 	"respeed/internal/trace"
 )
@@ -63,7 +62,7 @@ func replicatePattern(plan engine.Plan, costs engine.Costs, model energy.Model, 
 func runValidateMC(o Options) (Result, error) {
 	o = o.normalize()
 	configs := platform.Configs()
-	pts := sweep.Map(configs, o.Workers, func(i int, cfg platform.Config) (validationRow, error) {
+	rows, err := parallelMap(configs, o.Workers, func(i int, cfg platform.Config) (validationRow, error) {
 		p := core.FromConfig(cfg)
 		// Scale the error rate up 50× so the replication budget sees
 		// plenty of errors; the formulas hold at any rate, so validating
@@ -94,7 +93,6 @@ func runValidateMC(o Options) (Result, error) {
 			attempts: est.MeanAttempts,
 		}, nil
 	})
-	rows, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -134,7 +132,7 @@ func runValidateCombined(o Options) (Result, error) {
 		analyticE, simE float64
 		ciE             float64
 	}
-	pts := sweep.Map(fractions, o.Workers, func(i int, f float64) (row, error) {
+	rows, err := parallelMap(fractions, o.Workers, func(i int, f float64) (row, error) {
 		cp := p.Split(f)
 		plan := engine.Plan{W: 2764, Sigma1: 0.4, Sigma2: 0.8}
 		costs := engine.Costs{C: p.C, V: p.V, R: p.R, LambdaS: cp.LambdaS, LambdaF: cp.LambdaF}
@@ -153,7 +151,6 @@ func runValidateCombined(o Options) (Result, error) {
 			simE:      est.Energy.Mean, ciE: est.Energy.CI95,
 		}, nil
 	})
-	rows, err := sweep.Values(pts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -15,7 +15,7 @@ import (
 //
 //   - Renewal: a renewal process over a Dist, with pending-arrival
 //     carry-over across windows (the non-memoryless generalization of
-//     the Poisson injector);
+//     the Poisson process);
 //   - Schedule: deterministic replay of a recorded arrival-time list
 //     (e.g. a CSV failure log read by trace.ReadFaultCSV).
 //
@@ -138,7 +138,7 @@ type Renewal struct {
 
 // NewRenewal builds the process; the first inter-arrival is drawn
 // lazily on the first Within call. It panics on an invalid dist or nil
-// stream (programming errors, mirroring New).
+// stream (programming errors).
 func NewRenewal(dist Dist, rng *rngx.Stream) *Renewal {
 	if dist == nil {
 		panic("faults: nil dist")
@@ -150,23 +150,6 @@ func NewRenewal(dist Dist, rng *rngx.Stream) *Renewal {
 		panic("faults: nil rng stream")
 	}
 	return &Renewal{dist: dist, rng: rng}
-}
-
-// Reset re-arms the process in place as NewRenewal(dist, rng) would,
-// with the same validation panics: the next Within primes a fresh first
-// inter-arrival. It lets a pooled execution reuse one renewal process
-// across independent runs.
-func (r *Renewal) Reset(dist Dist, rng *rngx.Stream) {
-	if dist == nil {
-		panic("faults: nil dist")
-	}
-	if err := dist.Validate(); err != nil {
-		panic(err)
-	}
-	if rng == nil {
-		panic("faults: nil rng stream")
-	}
-	*r = Renewal{dist: dist, rng: rng}
 }
 
 // Within implements ArrivalSource.
@@ -219,13 +202,6 @@ func ValidateArrivalTimes(times []float64) error {
 		}
 	}
 	return nil
-}
-
-// Reset rewinds the replay to the start of the recorded list, as a
-// fresh NewSchedule over the same times would deliver it.
-func (s *Schedule) Reset() {
-	s.clock = 0
-	s.idx = 0
 }
 
 // Within implements ArrivalSource: the exposure clock advances by span

@@ -1,132 +1,22 @@
-// Package faults injects errors into simulated executions: silent data
-// corruptions (bit flips in workload state) and fail-stop crashes, both
-// arriving as Poisson processes with exponential inter-arrival times, the
-// paper's error model.
+// Package faults supplies the fault substrate of simulated executions:
+// arrival sources that say when errors strike (dist.go) and Corrupt,
+// which materializes a silent data corruption as a bit flip in
+// workload state. The engine's fault processes draw the paper's
+// Poisson arrivals and attribute the strikes; this package holds what
+// they share.
 package faults
 
 import (
 	"respeed/internal/rngx"
 )
 
-// Injector samples error arrivals and applies corruptions. It is
-// deterministic given its stream. One injector serves one simulated
-// execution; it is not safe for concurrent use.
-type Injector struct {
-	silentRate   float64 // λs, per second
-	failStopRate float64 // λf, per second
-	rng          *rngx.Stream
-
-	silentInjected   int
-	failStopInjected int
-	bitsFlipped      int
-}
-
-// New creates an injector with the given rates (either may be zero) and
-// random stream. It panics on negative rates or a nil stream.
-func New(silentRate, failStopRate float64, rng *rngx.Stream) *Injector {
-	in := &Injector{}
-	in.Reset(silentRate, failStopRate, rng)
-	return in
-}
-
-// Reset re-initializes the injector in place — same validation and
-// resulting state as New, without the allocation. It lets replication
-// hot paths recycle one injector across chunks (the rng is expected to
-// be reseeded by the caller).
-func (in *Injector) Reset(silentRate, failStopRate float64, rng *rngx.Stream) {
-	if silentRate < 0 || failStopRate < 0 {
-		panic("faults: negative error rate")
-	}
-	if rng == nil {
-		panic("faults: nil rng stream")
-	}
-	*in = Injector{silentRate: silentRate, failStopRate: failStopRate, rng: rng}
-}
-
-// NextSilent samples the time until the next silent error. It returns
-// ok=false when the silent rate is zero (no error will ever arrive).
-func (in *Injector) NextSilent() (delay float64, ok bool) {
-	if in.silentRate == 0 {
-		return 0, false
-	}
-	return in.rng.Exp(in.silentRate), true
-}
-
-// NextFailStop samples the time until the next fail-stop error, or
-// ok=false when the fail-stop rate is zero.
-func (in *Injector) NextFailStop() (delay float64, ok bool) {
-	if in.failStopRate == 0 {
-		return 0, false
-	}
-	return in.rng.Exp(in.failStopRate), true
-}
-
-// SilentWithin reports whether a silent error strikes within a window of
-// dur seconds, by sampling the exponential arrival. Used by the abstract
-// pattern simulator, where only the binary outcome matters (the paper's
-// silent errors are detected at the end of the pattern regardless of when
-// they struck).
-func (in *Injector) SilentWithin(dur float64) bool {
-	if in.silentRate == 0 || dur <= 0 {
-		return false
-	}
-	hit := in.rng.Exp(in.silentRate) < dur
-	if hit {
-		in.silentInjected++
-	}
-	return hit
-}
-
-// FailStopWithin samples a fail-stop arrival against a window of dur
-// seconds. When one strikes (arrival < dur) it returns the arrival offset
-// and true; the caller loses that much time and must recover.
-func (in *Injector) FailStopWithin(dur float64) (at float64, hit bool) {
-	if in.failStopRate == 0 || dur <= 0 {
-		return 0, false
-	}
-	at = in.rng.Exp(in.failStopRate)
-	if at < dur {
-		in.failStopInjected++
-		return at, true
-	}
-	return 0, false
-}
-
-// CorruptState flips a uniformly random bit in state, modeling one SDC,
-// and returns the byte index that was hit. It panics on empty state —
-// corrupting nothing would silently bias detection experiments.
-func (in *Injector) CorruptState(state []byte) int {
+// Corrupt flips one uniformly random bit of state, drawn with a single
+// rng.Intn, modeling one SDC. It panics on empty state — corrupting
+// nothing would silently bias detection experiments.
+func Corrupt(rng *rngx.Stream, state []byte) {
 	if len(state) == 0 {
 		panic("faults: cannot corrupt empty state")
 	}
-	bit := in.rng.Intn(len(state) * 8)
-	idx := bit / 8
-	state[idx] ^= 1 << uint(bit%8)
-	in.bitsFlipped++
-	return idx
-}
-
-// CorruptStateN flips n distinct random bits (with replacement across
-// calls, so the same bit may flip twice and cancel — as in real multi-hit
-// upsets).
-func (in *Injector) CorruptStateN(state []byte, n int) {
-	for i := 0; i < n; i++ {
-		in.CorruptState(state)
-	}
-}
-
-// Stats reports what has been injected so far.
-type Stats struct {
-	SilentInjected   int
-	FailStopInjected int
-	BitsFlipped      int
-}
-
-// Stats returns the injection counters.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		SilentInjected:   in.silentInjected,
-		FailStopInjected: in.failStopInjected,
-		BitsFlipped:      in.bitsFlipped,
-	}
+	bit := rng.Intn(len(state) * 8)
+	state[bit/8] ^= 1 << uint(bit%8)
 }

@@ -1,132 +1,71 @@
 package faults
 
 import (
-	"math"
+	"bytes"
+	"math/bits"
 	"testing"
 
 	"respeed/internal/rngx"
 )
 
-func newInjector(ls, lf float64) *Injector {
-	return New(ls, lf, rngx.NewStream(7, "faults-test"))
-}
+func newStream() *rngx.Stream { return rngx.NewStream(7, "faults-test") }
 
-func TestSilentWithinFrequency(t *testing.T) {
-	// Empirical hit rate over a window must match 1 − e^{−λd}.
-	const lambda, dur, n = 1e-4, 5000.0, 100000
-	in := newInjector(lambda, 0)
-	hits := 0
-	for i := 0; i < n; i++ {
-		if in.SilentWithin(dur) {
-			hits++
-		}
+// flippedBits counts the bits in which a and b differ.
+func flippedBits(a, b []byte) int {
+	n := 0
+	for i := range a {
+		n += bits.OnesCount8(a[i] ^ b[i])
 	}
-	got := float64(hits) / n
-	want := 1 - math.Exp(-lambda*dur)
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("hit rate %g, want %g", got, want)
-	}
-	if in.Stats().SilentInjected != hits {
-		t.Errorf("stats mismatch: %d vs %d", in.Stats().SilentInjected, hits)
-	}
-}
-
-func TestZeroRatesNeverFire(t *testing.T) {
-	in := newInjector(0, 0)
-	for i := 0; i < 1000; i++ {
-		if in.SilentWithin(1e12) {
-			t.Fatal("silent error with zero rate")
-		}
-		if _, hit := in.FailStopWithin(1e12); hit {
-			t.Fatal("fail-stop with zero rate")
-		}
-	}
-	if _, ok := in.NextSilent(); ok {
-		t.Error("NextSilent should report no arrivals at zero rate")
-	}
-	if _, ok := in.NextFailStop(); ok {
-		t.Error("NextFailStop should report no arrivals at zero rate")
-	}
-}
-
-func TestFailStopArrivalDistribution(t *testing.T) {
-	// Conditioned on hitting, arrival offsets follow a truncated
-	// exponential; for λd ≪ 1 the mean tends to d/2.
-	const lambda, dur, n = 1e-6, 1000.0, 2000000
-	in := newInjector(0, lambda)
-	var sum float64
-	hits := 0
-	for i := 0; i < n; i++ {
-		if at, hit := in.FailStopWithin(dur); hit {
-			if at < 0 || at >= dur {
-				t.Fatalf("arrival %g outside window", at)
-			}
-			sum += at
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no hits sampled")
-	}
-	mean := sum / float64(hits)
-	if math.Abs(mean-dur/2) > 25 {
-		t.Errorf("conditional mean arrival %g, want ≈ %g", mean, dur/2)
-	}
-}
-
-func TestNegativeDurationNeverHits(t *testing.T) {
-	in := newInjector(1, 1)
-	if in.SilentWithin(-1) {
-		t.Error("negative window should not hit")
-	}
-	if _, hit := in.FailStopWithin(0); hit {
-		t.Error("zero window should not hit")
-	}
+	return n
 }
 
 func TestCorruptStateFlipsExactlyOneBit(t *testing.T) {
-	in := newInjector(1e-6, 0)
 	state := make([]byte, 64)
 	orig := append([]byte(nil), state...)
-	idx := in.CorruptState(state)
-	if idx < 0 || idx >= len(state) {
-		t.Fatalf("corrupted index %d out of range", idx)
-	}
-	diffBits := 0
-	for i := range state {
-		x := state[i] ^ orig[i]
-		for x != 0 {
-			diffBits += int(x & 1)
-			x >>= 1
-		}
-	}
-	if diffBits != 1 {
-		t.Errorf("flipped %d bits, want exactly 1", diffBits)
-	}
-	if in.Stats().BitsFlipped != 1 {
-		t.Errorf("BitsFlipped = %d", in.Stats().BitsFlipped)
+	Corrupt(newStream(), state)
+	if n := flippedBits(state, orig); n != 1 {
+		t.Errorf("flipped %d bits, want exactly 1", n)
 	}
 }
 
 func TestCorruptStateCoversWholeState(t *testing.T) {
 	// Over many corruptions every byte should eventually be hit.
-	in := newInjector(1e-6, 0)
+	rng := newStream()
 	state := make([]byte, 16)
 	seen := make(map[int]bool)
 	for i := 0; i < 5000; i++ {
-		seen[in.CorruptState(state)] = true
+		before := append([]byte(nil), state...)
+		Corrupt(rng, state)
+		for j := range state {
+			if state[j] != before[j] {
+				seen[j] = true
+			}
+		}
 	}
 	if len(seen) != len(state) {
 		t.Errorf("only %d/%d bytes ever corrupted", len(seen), len(state))
 	}
 }
 
+// TestCorruptStateN pins that repeated corruptions are independent
+// single flips drawn with replacement: the same bit may flip twice and
+// cancel (as in real multi-hit upsets), so n corruptions leave at most
+// n flipped bits, with the parity of n.
 func TestCorruptStateN(t *testing.T) {
-	in := newInjector(1e-6, 0)
-	state := make([]byte, 8)
-	in.CorruptStateN(state, 5)
-	if in.Stats().BitsFlipped != 5 {
-		t.Errorf("BitsFlipped = %d, want 5", in.Stats().BitsFlipped)
+	rng := newStream()
+	state := make([]byte, 1)
+	orig := append([]byte(nil), state...)
+	cancelled := false
+	for n := 1; n <= 64; n++ {
+		Corrupt(rng, state)
+		got := flippedBits(state, orig)
+		if got > n || got%2 != n%2 {
+			t.Fatalf("after %d corruptions %d bits differ", n, got)
+		}
+		cancelled = cancelled || got < n
+	}
+	if !cancelled {
+		t.Error("64 flips of an 8-bit state never hit the same bit twice")
 	}
 }
 
@@ -136,39 +75,44 @@ func TestCorruptEmptyStatePanics(t *testing.T) {
 			t.Error("corrupting empty state should panic")
 		}
 	}()
-	newInjector(1, 0).CorruptState(nil)
+	Corrupt(newStream(), nil)
 }
 
+// TestNewRejectsBadArgs pins the constructors' argument checks: a
+// renewal process needs a valid dist and a stream, a replay schedule
+// ordered, finite, non-negative times.
 func TestNewRejectsBadArgs(t *testing.T) {
-	for _, f := range []func(){
-		func() { New(-1, 0, rngx.NewStream(1, "x")) },
-		func() { New(0, -1, rngx.NewStream(1, "x")) },
-		func() { New(1, 1, nil) },
+	for name, f := range map[string]func(){
+		"nil dist":     func() { NewRenewal(nil, newStream()) },
+		"invalid dist": func() { NewRenewal(Exponential{Rate: -1}, newStream()) },
+		"nil rng":      func() { NewRenewal(Exponential{Rate: 1}, nil) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("%s: expected panic", name)
 				}
 			}()
 			f()
 		}()
 	}
+	for _, times := range [][]float64{{-1}, {2, 1}} {
+		if _, err := NewSchedule(times); err == nil {
+			t.Errorf("NewSchedule(%v) accepted", times)
+		}
+	}
 }
 
+// TestDeterministicReplay pins that corruption is a pure function of
+// the stream: two streams with the same seed material corrupt alike.
 func TestDeterministicReplay(t *testing.T) {
-	a := New(1e-5, 1e-6, rngx.NewStream(42, "replay"))
-	b := New(1e-5, 1e-6, rngx.NewStream(42, "replay"))
+	a, b := rngx.NewStream(42, "replay"), rngx.NewStream(42, "replay")
+	sa, sb := make([]byte, 33), make([]byte, 33)
 	for i := 0; i < 1000; i++ {
-		ha := a.SilentWithin(1000)
-		hb := b.SilentWithin(1000)
-		if ha != hb {
-			t.Fatalf("silent divergence at %d", i)
-		}
-		fa, hita := a.FailStopWithin(1000)
-		fb, hitb := b.FailStopWithin(1000)
-		if hita != hitb || fa != fb {
-			t.Fatalf("fail-stop divergence at %d", i)
+		Corrupt(a, sa)
+		Corrupt(b, sb)
+		if !bytes.Equal(sa, sb) {
+			t.Fatalf("corruption divergence at %d", i)
 		}
 	}
 }

@@ -160,13 +160,43 @@ func TestRunShardMarksDownOn5xx(t *testing.T) {
 	}
 }
 
+// deadPeerTransport fails every round trip, so a peer dialed through it
+// is dead by construction. (A closed test server's ephemeral port can be
+// rebound by a concurrently running test binary, reviving the "dead"
+// peer.)
+type deadPeerTransport struct{}
+
+func (deadPeerTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	return nil, errors.New("connection refused")
+}
+
+// newDeadPeerCoordinator builds a coordinator whose one peer is dead.
+// The heartbeat's immediate first probe marks the peer down, racing the
+// test's first dispatch; the helper waits for that verdict, then
+// restores the optimistic start state, so the first dispatch dials the
+// peer as it would on a fleet whose first probe had not landed yet.
+func newDeadPeerCoordinator(t *testing.T, localFallback bool) *Coordinator {
+	t.Helper()
+	c := newTestCoordinator(t, Options{
+		Peers:         []Peer{{URL: "http://dead-peer.invalid"}},
+		Client:        &http.Client{Transport: deadPeerTransport{}},
+		LocalFallback: localFallback,
+	})
+	p := c.peers[0]
+	for deadline := time.Now().Add(10 * time.Second); p.snapshot().Up; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("first heartbeat never marked the dead peer down")
+		}
+	}
+	p.mu.Lock()
+	p.up = true
+	p.mu.Unlock()
+	return c
+}
+
 func TestRunShardLocalFallbackMatchesLocalExecution(t *testing.T) {
 	camp, sp := testCampaign(t)
-	srv := httptest.NewServer(http.NotFoundHandler())
-	url := srv.URL
-	srv.Close() // dead peer: every dial fails
-
-	c := newTestCoordinator(t, Options{Peers: []Peer{{URL: url}}, LocalFallback: true})
+	c := newDeadPeerCoordinator(t, true)
 	// First attempt dials the dead peer and fails (marking it down).
 	if _, err := c.RunShard(context.Background(), camp, sp, 0, 1); err == nil {
 		t.Fatal("dispatch to dead peer succeeded")
@@ -192,11 +222,7 @@ func TestRunShardLocalFallbackMatchesLocalExecution(t *testing.T) {
 
 func TestRunShardNoPeersWithoutFallback(t *testing.T) {
 	camp, sp := testCampaign(t)
-	srv := httptest.NewServer(http.NotFoundHandler())
-	url := srv.URL
-	srv.Close()
-
-	c := newTestCoordinator(t, Options{Peers: []Peer{{URL: url}}})
+	c := newDeadPeerCoordinator(t, false)
 	if _, err := c.RunShard(context.Background(), camp, sp, 0, 1); err == nil {
 		t.Fatal("dispatch to dead peer succeeded")
 	}

@@ -129,6 +129,28 @@ func checkQueryParams(q url.Values, allowed ...string) *paramError {
 	return nil
 }
 
+// parseRunQuery reads the n and seed parameters of the simulate
+// endpoints: n defaults to def and must be an integer in [lo, hi], seed
+// defaults to 1.
+func parseRunQuery(q url.Values, def, lo, hi int) (n int, seed uint64, perr *paramError) {
+	n, seed = def, 1
+	if raw := q.Get("n"); raw != "" {
+		v, err := strconv.Atoi(raw)
+		if err != nil || v < lo || v > hi {
+			return 0, 0, badParam("n must be an integer in [%d, %d] (got %q)", lo, hi, raw)
+		}
+		n = v
+	}
+	if raw := q.Get("seed"); raw != "" {
+		v, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			return 0, 0, badParam("seed must be a uint64 (got %q)", raw)
+		}
+		seed = v
+	}
+	return n, seed, nil
+}
+
 // jsonResponse marshals v into a memoizable response.
 func jsonResponse(status int, v any) (response, error) {
 	body, err := json.Marshal(v)
@@ -699,31 +721,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	scenarioName := q.Get("scenario")
-	n, nMax := 10_000, s.opts.MaxSimulations
+	nDef, nMax := 10_000, s.opts.MaxSimulations
 	if scenarioName != "" {
-		n = 100
+		nDef = 100
 		if nMax > maxScenarioSimulations {
 			nMax = maxScenarioSimulations
 		}
 	}
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 2 || v > nMax {
-			s.direct(w, "/v1/simulate", start, mustErrorResponse(http.StatusBadRequest,
-				fmt.Sprintf("n must be an integer in [2, %d] (got %q)", nMax, raw)))
-			return
-		}
-		n = v
-	}
-	var seed uint64 = 1
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			s.direct(w, "/v1/simulate", start, mustErrorResponse(http.StatusBadRequest,
-				fmt.Sprintf("seed must be a uint64 (got %q)", raw)))
-			return
-		}
-		seed = v
+	n, seed, perr := parseRunQuery(q, nDef, 2, nMax)
+	if perr != nil {
+		s.direct(w, "/v1/simulate", start, mustErrorResponse(perr.status, perr.msg))
+		return
 	}
 	if scenarioName != "" {
 		sc, perr := scenarioByName(scenarioName, sq.cfg)
@@ -855,28 +863,14 @@ func (s *Server) handleSimulateSpec(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown configuration %q (use /v1/configs to list)", name)))
 		return
 	}
-	n, nMax := 100, s.opts.MaxSimulations
+	nMax := s.opts.MaxSimulations
 	if nMax > maxScenarioSimulations {
 		nMax = maxScenarioSimulations
 	}
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 2 || v > nMax {
-			s.direct(w, endpoint, start, mustErrorResponse(http.StatusBadRequest,
-				fmt.Sprintf("n must be an integer in [2, %d] (got %q)", nMax, raw)))
-			return
-		}
-		n = v
-	}
-	var seed uint64 = 1
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			s.direct(w, endpoint, start, mustErrorResponse(http.StatusBadRequest,
-				fmt.Sprintf("seed must be a uint64 (got %q)", raw)))
-			return
-		}
-		seed = v
+	n, seed, perr := parseRunQuery(q, 100, 2, nMax)
+	if perr != nil {
+		s.direct(w, endpoint, start, mustErrorResponse(perr.status, perr.msg))
+		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err != nil {

@@ -119,7 +119,14 @@ func TestIdenticalConcurrentSolvesComputeOnce(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Errorf("solver ran %d times for one canonical query, want 1", n)
 	}
+	// A handler meters its request after writing the reply, and a
+	// client returns as soon as the headers arrive, so the last requests
+	// may still be metering: wait for them before reading the counters.
 	ep := s.Metrics().Endpoints["/v1/solve"]
+	for deadline := time.Now().Add(5 * time.Second); ep.Requests < herd && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		ep = s.Metrics().Endpoints["/v1/solve"]
+	}
 	if ep.Requests != herd {
 		t.Errorf("metrics saw %d requests, want %d", ep.Requests, herd)
 	}

@@ -365,34 +365,24 @@ func (s *Server) handleSimulateEvents(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	const endpoint = "/v1/simulate/events"
 	q := r.URL.Query()
+	if perr := checkQueryParams(q, "config", "rho", "speeds", "n", "seed", "scenario"); perr != nil {
+		s.direct(w, endpoint, start, mustErrorResponse(perr.status, perr.msg))
+		return
+	}
 	sq, perr := parseSolveQuery(q)
 	if perr != nil {
 		s.direct(w, endpoint, start, mustErrorResponse(perr.status, perr.msg))
 		return
 	}
 	scenarioName := q.Get("scenario")
-	n, nMax := 10, maxStreamPatterns
+	nDef, nMax := 10, maxStreamPatterns
 	if scenarioName != "" {
-		n, nMax = 1, maxStreamScenarioRuns
+		nDef, nMax = 1, maxStreamScenarioRuns
 	}
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 1 || v > nMax {
-			s.direct(w, endpoint, start, mustErrorResponse(http.StatusBadRequest,
-				fmt.Sprintf("n must be an integer in [1, %d] (got %q)", nMax, raw)))
-			return
-		}
-		n = v
-	}
-	var seed uint64 = 1
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			s.direct(w, endpoint, start, mustErrorResponse(http.StatusBadRequest,
-				fmt.Sprintf("seed must be a uint64 (got %q)", raw)))
-			return
-		}
-		seed = v
+	n, seed, perr := parseRunQuery(q, nDef, 1, nMax)
+	if perr != nil {
+		s.direct(w, endpoint, start, mustErrorResponse(perr.status, perr.msg))
+		return
 	}
 
 	p := core.FromConfig(sq.cfg)

@@ -301,6 +301,38 @@ func TestSimulateEventsStream(t *testing.T) {
 	}
 }
 
+// TestSimulateEventsRejectsUnknownParams: a typoed parameter on the
+// events stream answers 400 naming the offender, with the same error as
+// /v1/simulate, instead of streaming the default seed.
+func TestSimulateEventsRejectsUnknownParams(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}).Handler())
+	t.Cleanup(ts.Close)
+
+	errOf := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.NewDecoder(resp.Body).Decode(&e) != nil {
+			t.Fatalf("%s: status %d, want a 400 JSON error", path, resp.StatusCode)
+		}
+		return e.Error
+	}
+	const query = "?config=Hera%2FXScale&rho=3&n=2&seeed=5"
+	got := errOf("/v1/simulate/events" + query)
+	if !strings.Contains(got, `"seeed"`) {
+		t.Errorf("error %q does not name the offender", got)
+	}
+	if want := errOf("/v1/simulate" + query); got != want {
+		t.Errorf("events error %q, /v1/simulate says %q", got, want)
+	}
+}
+
 // TestJobsSSEKeepalive pins the stalled-stream contract: while a
 // campaign makes no progress, the events stream still emits keepalive
 // comments, and the stream finishes normally once work resumes.
