@@ -14,15 +14,17 @@
 // Scenario mode runs the unified engine's composed scenarios — policy
 // combinations the original siloed simulators could not express:
 // a multi-node cluster under two-level (memory+disk) checkpointing, or
-// partial verifications with fail-stop errors in the mix. Spec mode
-// runs the same engine from a declarative JSON scenario document (CSV
-// fault-trace references resolve relative to the spec file).
+// partial verifications with fail-stop errors in the mix. It resolves
+// the name through the built-in spec registry. Spec mode runs the same
+// engine from a declarative JSON scenario document (CSV fault-trace
+// references resolve relative to the spec file).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"respeed"
 	"respeed/internal/tablefmt"
@@ -75,8 +77,7 @@ func main() {
 
 	est, err := respeed.SimulatePatterns(cfg, plan, *n, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	wantT := p.ExpectedTime(plan.W, plan.Sigma1, plan.Sigma2)
 	wantE := p.ExpectedEnergy(plan.W, plan.Sigma1, plan.Sigma2)
@@ -105,63 +106,19 @@ func relErr(a, b float64) float64 {
 	return d / b
 }
 
-// runScenario executes one of the engine's composed scenarios: policy
+// runScenario executes a built-in scenario of the spec registry: policy
 // combinations that required the unified discrete-event core.
 func runScenario(cfg respeed.Config, name string, seed uint64, reps int) {
-	p := respeed.ParamsFor(cfg)
-	sc := respeed.Scenario{
-		Plan:      respeed.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
-		Costs:     respeed.Costs{C: p.C, V: p.V, R: p.R},
-		Model:     respeed.PowerModelFor(cfg),
-		TotalWork: 500,
-	}
-	switch name {
-	case "cluster-twolevel":
-		// 4-node platform + memory/disk checkpoint tier.
-		sc.Nodes = respeed.UniformScenarioNodes(4, 2e-3, 5e-4)
-		sc.TwoLevel = &respeed.TwoLevelSpec{MemC: p.C / 4, DiskC: p.C, DiskR: 2 * p.R, Every: 3}
-	case "partial-failstop":
-		// Intermediate partial verifications + fail-stop errors.
-		sc.Costs.LambdaS, sc.Costs.LambdaF = 2e-3, 5e-4
-		sc.Partial = &respeed.PartialExec{Segments: 4, Coverage: 0.8, Cost: p.V / 4}
-	default:
-		fmt.Fprintf(os.Stderr, "simulate: unknown scenario %q (use cluster-twolevel or partial-failstop)\n", name)
+	s, ok := respeed.ScenarioSpecByName(name)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "simulate: unknown scenario %q (use %s)\n", name, strings.Join(respeed.ScenarioSpecNames(), " or "))
 		os.Exit(1)
 	}
-	mk := func() respeed.Workload { return respeed.NewStreamWorkload(7, 64) }
-
-	rep, err := respeed.RunScenario(sc, mk, seed)
+	sc, err := respeed.CompileSpec(s, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	fmt.Printf("scenario %s on %s (one run, seed %d):\n", name, cfg.Name(), seed)
-	fmt.Printf("  makespan        %.1f s\n", rep.Makespan)
-	fmt.Printf("  energy          %.1f mW·s\n", rep.Energy)
-	fmt.Printf("  patterns        %d committed (attempts %d)\n", rep.Patterns, rep.Attempts)
-	fmt.Printf("  silent errors   %d injected, %d detected\n", rep.SilentInjected, rep.SilentDetected)
-	fmt.Printf("  fail-stops      %d\n", rep.FailStops)
-	if sc.TwoLevel != nil {
-		fmt.Printf("  mem/disk ckpts  %d / %d (recoveries %d / %d, patterns lost %d)\n",
-			rep.MemCommits, rep.DiskCommits, rep.MemRecoveries, rep.DiskRecoveries, rep.PatternsLost)
-	}
-	if sc.Partial != nil {
-		fmt.Printf("  partial checks  %d (%d detections)\n", rep.PartialChecks, rep.PartialDetections)
-	}
-	if rep.PerNodeErrors != nil {
-		fmt.Printf("  per-node errors %v\n", rep.PerNodeErrors)
-	}
-	fmt.Printf("  state digest    %016x\n", uint64(rep.StateDigest))
-
-	est, err := respeed.ReplicateScenario(sc, mk, seed, reps, 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\n%d replications:\n", reps)
-	fmt.Printf("  makespan        %.1f ± %.1f s (CI95 %.1f)\n", est.Time.Mean, est.Time.StdDev, est.Time.CI95)
-	fmt.Printf("  energy          %.1f ± %.1f mW·s\n", est.Energy.Mean, est.Energy.StdDev)
-	fmt.Printf("  mean attempts   %.2f per run\n", est.MeanAttempts)
+	runCompiled(sc, fmt.Sprintf("scenario %s on %s", name, cfg.Name()), seed, reps)
 }
 
 // runSpec executes a declarative scenario spec file: the same composed
@@ -170,30 +127,31 @@ func runScenario(cfg respeed.Config, name string, seed uint64, reps int) {
 func runSpec(cfg respeed.Config, path string, seed uint64, reps int) {
 	s, err := respeed.ParseScenarioSpecFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	sc, err := respeed.CompileSpec(s, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	hash, err := respeed.SpecHash(s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	name := s.Name
 	if name == "" {
 		name = "(unnamed)"
 	}
+	runCompiled(sc, fmt.Sprintf("spec %s [%s] on %s", name, hash, cfg.Name()), seed, reps)
+}
 
+// runCompiled prints one run of a compiled scenario under header, then
+// reps replications of it.
+func runCompiled(sc respeed.Scenario, header string, seed uint64, reps int) {
 	rep, err := respeed.RunScenario(sc, nil, seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	fmt.Printf("spec %s [%s] on %s (one run, seed %d):\n", name, hash, cfg.Name(), seed)
+	fmt.Printf("%s (one run, seed %d):\n", header, seed)
 	fmt.Printf("  makespan        %.1f s\n", rep.Makespan)
 	fmt.Printf("  energy          %.1f mW·s\n", rep.Energy)
 	fmt.Printf("  patterns        %d committed (attempts %d)\n", rep.Patterns, rep.Attempts)
@@ -213,13 +171,18 @@ func runSpec(cfg respeed.Config, path string, seed uint64, reps int) {
 
 	est, err := respeed.ReplicateScenario(sc, nil, seed, reps, 0)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("\n%d replications:\n", reps)
 	fmt.Printf("  makespan        %.1f ± %.1f s (CI95 %.1f)\n", est.Time.Mean, est.Time.StdDev, est.Time.CI95)
 	fmt.Printf("  energy          %.1f ± %.1f mW·s\n", est.Energy.Mean, est.Energy.StdDev)
 	fmt.Printf("  mean attempts   %.2f per run\n", est.MeanAttempts)
+}
+
+// fail reports err and exits 1.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
+	os.Exit(1)
 }
 
 func runExec(cfg respeed.Config, wlName string, seed uint64, showTrace bool) {
@@ -248,8 +211,7 @@ func runExec(cfg respeed.Config, wlName string, seed uint64, showTrace bool) {
 		Trace:     rec,
 	}, wl, seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("workload %s on %s:\n", wl.Name(), cfg.Name())
 	fmt.Printf("  makespan        %.1f s\n", rep.Makespan)

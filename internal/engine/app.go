@@ -130,7 +130,6 @@ type App struct {
 	replica  *Runner
 	verifier *detect.Verifier
 	rec      Recorder
-	trace    *trace.Recorder
 	rep      Report
 
 	// corruptBuf is the scratch snapshot injectSDC corrupts, reused
@@ -171,7 +170,6 @@ func NewApp(cfg AppConfig, wl *Runner) (*App, error) {
 		main:     wl,
 		verifier: detect.NewVerifier(cfg.Detector),
 		rec:      cfg.Recorder,
-		trace:    cfg.Trace,
 	}
 	switch {
 	case cfg.Partial != nil:
@@ -296,13 +294,10 @@ func (x *App) Run() (Report, error) {
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma})
 		x.rec.Advance(verifyDur, energy.Verify, sigma)
 		if !x.verifier.VerifyDigest(x.main.state(), x.ref[pattern]) {
-			x.rep.SilentDetected++
-			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: "digest mismatch"})
-			resume, err := x.cfg.Tier.OnVerifyFail(x, pattern)
+			resume, err := x.verifyFailed(pattern, attempt, "digest mismatch", out.Silent)
 			if err != nil {
 				return x.finish(), err
 			}
-			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Recovery, Pattern: pattern, Attempt: attempt})
 			pattern, attempt, errored = resume, attempt+1, true
 			continue
 		}
@@ -326,9 +321,28 @@ func (x *App) Run() (Report, error) {
 	return x.finish(), nil
 }
 
+// verifyFailed counts a failed verification, rolls back and returns the
+// pattern to resume from. Only an error injected in the attempt moves a
+// run off its clean reference; a failure without one means the run left
+// it some other way (a workload whose clone or restore diverges), so no
+// retry can pass and the run fails instead.
+func (x *App) verifyFailed(pattern, attempt int, detail string, injected bool) (int, error) {
+	if !injected {
+		return 0, fmt.Errorf("engine: verification of pattern %d failed with no error injected: the run left its reference trajectory", pattern)
+	}
+	x.rep.SilentDetected++
+	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: detail})
+	resume, err := x.cfg.Tier.OnVerifyFail(x, pattern)
+	if err != nil {
+		return 0, err
+	}
+	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Recovery, Pattern: pattern, Attempt: attempt})
+	return resume, nil
+}
+
 // emit records a trace event into the recorder and the live sink.
 func (x *App) emit(e trace.Event) {
-	x.trace.Append(e)
+	x.cfg.Trace.Append(e)
 	if x.cfg.Obs.TraceSink != nil {
 		x.cfg.Obs.TraceSink(e)
 	}
@@ -380,6 +394,7 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 		return false, resume, nil
 	}
 
+	injected := false // an SDC struck this attempt
 	for k := 1; k <= m; k++ {
 		x.main.advance(segWork)
 		x.replica.advance(segWork)
@@ -388,6 +403,7 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 				return false, 0, err
 			}
 			x.rep.SilentInjected++
+			injected = true
 		}
 		x.rec.Advance(segDur, energy.Compute, sigma)
 
@@ -398,14 +414,8 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma, Detail: "partial"})
 			if !x.cfg.Sampled.Verify(x.main.state(), x.replica.state()) {
 				x.rep.PartialDetections++
-				x.rep.SilentDetected++
-				x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: "partial"})
-				resume, err := x.cfg.Tier.OnVerifyFail(x, pattern)
-				if err != nil {
-					return false, 0, err
-				}
-				x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Recovery, Pattern: pattern, Attempt: attempt})
-				return false, resume, nil
+				resume, err := x.verifyFailed(pattern, attempt, "partial", injected)
+				return false, resume, err
 			}
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyOK, Pattern: pattern, Attempt: attempt, Detail: "partial"})
 		}
@@ -416,14 +426,8 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma})
 	x.rec.Advance(verifyDur, energy.Verify, sigma)
 	if !x.verifier.Verify(x.main.state(), x.replica.state()) {
-		x.rep.SilentDetected++
-		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyFail, Pattern: pattern, Attempt: attempt, Detail: "digest mismatch"})
-		resume, err := x.cfg.Tier.OnVerifyFail(x, pattern)
-		if err != nil {
-			return false, 0, err
-		}
-		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Recovery, Pattern: pattern, Attempt: attempt})
-		return false, resume, nil
+		resume, err := x.verifyFailed(pattern, attempt, "digest mismatch", injected)
+		return false, resume, err
 	}
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyOK, Pattern: pattern, Attempt: attempt})
 

@@ -28,10 +28,14 @@
 // state's digest with a clean reference trajectory digested once per
 // call, checkpoints store real bytes — and Scenario composes it
 // declaratively (multi-node + two-level, partial verification +
-// fail-stop, ...). The reference is sound because workloads are
-// deterministic (package workload) and detectors are pure functions of
-// the bytes (package detect); only partial verification, whose sampled
-// windows compare raw bytes, steps a live clean replica.
+// fail-stop, ...); one pooled assembly builds every Scenario run, single
+// runs and replications alike (scenariopool.go). The reference is sound
+// because workloads are deterministic (package workload) and detectors
+// are pure functions of the bytes (package detect); only partial
+// verification, whose sampled windows compare raw bytes, steps a live
+// clean replica. A verification that fails with no error injected in
+// its attempt means the run left its reference: the App returns an
+// error instead of retrying.
 //
 // Every executor is deterministic given its seed material and preserves
 // the legacy simulators' exact float-operation and RNG-draw order, so

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"testing"
+	"time"
 
 	"respeed/internal/core"
 	"respeed/internal/detect"
@@ -397,5 +398,61 @@ func TestPartialExecConfigGuards(t *testing.T) {
 		if _, err := bad.RunOn(rngx.NewStream(1, "x")); err == nil {
 			t.Errorf("%s should be rejected", name)
 		}
+	}
+}
+
+// divergentRunner wraps a heat kernel whose clones run different
+// physics (another diffusion coefficient): a clone that disagrees with
+// its original, so the clean reference it yields is not this run's.
+func divergentRunner() *Runner {
+	r := FromWorkload(workload.NewHeat(64, 0.2))
+	r.clone = func() *Runner { return FromWorkload(workload.NewHeat(64, 0.25)) }
+	return r
+}
+
+// TestOffReferenceRunFailsLoudly runs error-free Apps whose reference
+// (the guaranteed path's digests, the partial path's replica) comes
+// from a disagreeing clone. Every verification fails with no error
+// injected, which no retry can fix: the run must return an error, not
+// retry forever.
+func TestOffReferenceRunFailsLoudly(t *testing.T) {
+	for name, partial := range map[string]*Partial{
+		"guaranteed": nil,
+		"partial":    {Segments: 4, Coverage: 1, Cost: 0.4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc := execScenario(0, 0)
+			sc.Partial = partial
+			var sampled *detect.SampledVerifier
+			if partial != nil {
+				sampled = detect.NewSampledVerifier(nil, rngx.NewStream(1, "positions"), partial.Coverage)
+			}
+			x, err := NewApp(AppConfig{
+				Plan:     sc.Plan,
+				Verify:   sc.Costs.V,
+				Sizes:    sc.patternSizes(),
+				Faults:   NewAggregateFaults(0, 0, rngx.NewStream(1, "off-reference")),
+				Tier:     NewSingleLevel(sc.Costs.C, sc.Costs.R),
+				Recorder: NewMeterRecorder(sc.Model),
+				Partial:  partial,
+				Sampled:  sampled,
+			}, divergentRunner())
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := x.Run()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("a run that left its reference completed")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a run that left its reference is still retrying")
+			}
+		})
 	}
 }

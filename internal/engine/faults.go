@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"respeed/internal/faults"
 	"respeed/internal/rngx"
@@ -159,10 +161,13 @@ func ValidateNodes(nodes []Node) error {
 // against the node it struck (PerNodeErrors).
 type PerNodeFaults struct {
 	nodes   []Node
-	rngs    []*rngx.Stream
+	rngs    []rngx.Stream
 	clock   float64
-	corrupt *rngx.Stream
+	corrupt rngx.Stream
 	errors  []int
+	// suffixes caches the "/node-<i>" stream-name suffixes across
+	// resets, so re-deriving the streams builds no strings.
+	suffixes []string
 }
 
 // NewPerNodeFaults builds the per-node process. Node i draws from the
@@ -172,18 +177,28 @@ func NewPerNodeFaults(nodes []Node, seed uint64, prefix string) (*PerNodeFaults,
 	if err := ValidateNodes(nodes); err != nil {
 		return nil, err
 	}
-	f := &PerNodeFaults{
-		nodes:  nodes,
-		rngs:   make([]*rngx.Stream, len(nodes)),
-		errors: make([]int, len(nodes)),
+	f := new(PerNodeFaults)
+	f.reset(nodes, seed, runName{base: prefix, index: -1})
+	return f, nil
+}
+
+// reset re-derives the process in place as NewPerNodeFaults(nodes,
+// seed, name.String()) would, reusing its streams and counters. nodes
+// must already be valid.
+func (f *PerNodeFaults) reset(nodes []Node, seed uint64, name runName) {
+	f.nodes, f.clock = nodes, 0
+	for len(f.suffixes) < len(nodes) {
+		f.suffixes = append(f.suffixes, "/node-"+strconv.Itoa(len(f.suffixes)))
 	}
+	f.rngs = slices.Grow(f.rngs[:0], len(nodes))[:len(nodes)]
+	f.errors = slices.Grow(f.errors[:0], len(nodes))[:len(nodes)]
+	clear(f.errors)
 	for i := range nodes {
-		f.rngs[i] = rngx.NewStream(seed, fmt.Sprintf("%s/node-%d", prefix, i))
+		name.reseed(&f.rngs[i], seed, f.suffixes[i])
 	}
 	// State corruption draws from a dedicated stream so enabling a
 	// real workload does not perturb the per-node arrival processes.
-	f.corrupt = rngx.NewStream(seed, prefix+"/corrupt")
-	return f, nil
+	name.reseed(&f.corrupt, seed, "/corrupt")
 }
 
 // PerNodeErrors returns a copy of the per-node error counts.
@@ -288,4 +303,4 @@ func (f *PerNodeFaults) SampleSilent(dur float64) bool {
 }
 
 // Corrupt implements FaultProcess.
-func (f *PerNodeFaults) Corrupt(state []byte) { faults.Corrupt(f.corrupt, state) }
+func (f *PerNodeFaults) Corrupt(state []byte) { faults.Corrupt(&f.corrupt, state) }

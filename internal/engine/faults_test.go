@@ -35,7 +35,7 @@ func TestPerNodeFaultsTieGoesToLowestNode(t *testing.T) {
 	// Nodes 1 and 2 replay node 0's stream, so every arrival is
 	// simultaneous on all three nodes.
 	for i := 1; i < len(nodes); i++ {
-		f.rngs[i] = rngx.NewStream(1, "tie/node-0")
+		f.rngs[i].Reseed(1, "tie/node-0")
 	}
 	fails, silents := 0, 0
 	now := 0.0
@@ -261,5 +261,67 @@ func TestAggregateFaultsRejectsBadArgs(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// perNodeDraws drives a per-node process through a fixed mix of
+// windows and returns everything it reported: outcomes, strike counts
+// and a corruption.
+func perNodeDraws(f *PerNodeFaults) []any {
+	var out []any
+	now := 0.0
+	for w := 0; w < 300; w++ {
+		switch w % 3 {
+		case 0:
+			out = append(out, f.SampleWindow(now, 60, 50))
+		case 1:
+			at, hit := f.SampleFailStop(now, 40)
+			out = append(out, at, hit)
+		default:
+			out = append(out, f.SampleSilent(25))
+		}
+		now += 55
+	}
+	state := make([]byte, 64)
+	f.Corrupt(state)
+	return append(out, state, f.PerNodeErrors())
+}
+
+// TestPerNodeFaultsResetMatchesNew re-derives one process in place
+// across node lists (growing and shrinking), plain and indexed run names
+// and seeds, and requires the same stream names, draws, strike counts
+// and corruption as a process NewPerNodeFaults builds under the
+// materialized prefix.
+func TestPerNodeFaultsResetMatchesNew(t *testing.T) {
+	lists := [][]Node{
+		UniformNodes(4, 2e-3, 5e-4),
+		UniformNodes(16, 1e-2, 1e-2),
+		{{ID: 0, SilentRate: 3e-2, SpeedShare: 0.25}, {ID: 1, FailStopRate: 2e-2, SpeedShare: 0.75}},
+		UniformNodes(1, 0, 3e-2),
+		UniformNodes(6, 5e-3, 5e-3),
+	}
+	names := []runName{{base: "cluster", index: -1}, {base: "scenario", index: -1}, replication(0), replication(7), replication(1234)}
+	var f PerNodeFaults
+	for _, seed := range []uint64{1, 99} {
+		for _, nodes := range lists {
+			for _, name := range names {
+				f.reset(nodes, seed, name)
+				want, err := NewPerNodeFaults(nodes, seed, name.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range nodes {
+					if got, w := f.rngs[i].Name(), want.rngs[i].Name(); got != w {
+						t.Fatalf("node %d stream %q, want %q", i, got, w)
+					}
+				}
+				if got, w := f.corrupt.Name(), want.corrupt.Name(); got != w {
+					t.Fatalf("corrupt stream %q, want %q", got, w)
+				}
+				if got, w := perNodeDraws(&f), perNodeDraws(want); !reflect.DeepEqual(got, w) {
+					t.Fatalf("seed %d, %d nodes, %q: reset process diverged from a new one", seed, len(nodes), name)
+				}
+			}
+		}
 	}
 }

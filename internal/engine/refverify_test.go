@@ -224,7 +224,7 @@ func countsOf(x *App) verifierCounts {
 func legacyReport(t *testing.T, sc Scenario, seed uint64, i int, sizes []float64) (Report, verifierCounts) {
 	t.Helper()
 	sc.Obs.TraceSink = guardSink()
-	x, err := sc.appSized(seed, "scenario/"+strconv.Itoa(i), sizes)
+	x, err := freshApp(sc, seed, "scenario/"+strconv.Itoa(i), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestReferenceMatchesLiveReplica(t *testing.T) {
 
 				sc := tc.sc
 				sc.Obs.TraceSink = guardSink()
-				x, err := sc.appSized(seed, "scenario/"+strconv.Itoa(i), sizes)
+				x, err := freshApp(sc, seed, "scenario/"+strconv.Itoa(i), sizes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -370,10 +370,10 @@ func TestReferenceMatchesLiveReplica(t *testing.T) {
 			defer c.release()
 			c.sc.Obs.TraceSink = guardSink()
 			s := scenarioScratchPool.Get().(*scenarioScratch)
-			defer scenarioScratchPool.Put(s)
+			defer putScratch(s)
 			s.prepare(c)
 			for i := range want {
-				got, err := guarded(t, "pooled run", func() (Report, error) { return s.runOnce(c, seed, i) })
+				got, err := guarded(t, "pooled run", func() (Report, error) { return s.runOnce(c, seed, replication(i)) })
 				if err != nil {
 					t.Fatalf("pooled run %d: %v", i, err)
 				}
@@ -428,7 +428,7 @@ func TestReferenceAcrossWitnessCampaigns(t *testing.T) {
 		return sc
 	}
 	s := scenarioScratchPool.Get().(*scenarioScratch)
-	defer scenarioScratchPool.Put(s)
+	defer putScratch(s)
 	for round := 0; round < 3; round++ {
 		for _, sc := range []Scenario{mk(0.1), mk(0.25)} {
 			c, err := newScenarioCampaign(sc)
@@ -437,7 +437,7 @@ func TestReferenceAcrossWitnessCampaigns(t *testing.T) {
 			}
 			c.sc.Obs.TraceSink = guardSink()
 			s.prepare(c)
-			got, err := guarded(t, "pooled run", func() (Report, error) { return s.runOnce(c, seed, round) })
+			got, err := guarded(t, "pooled run", func() (Report, error) { return s.runOnce(c, seed, replication(round)) })
 			c.release()
 			if err != nil {
 				t.Fatal(err)

@@ -53,8 +53,8 @@ type Scenario struct {
 	SkipVerification bool
 	// Detector verifies state; nil selects FNV-64a.
 	Detector detect.Detector
-	// Trace, when non-nil, records the schedule of a single Run (not
-	// used by ReplicateScenario).
+	// Trace, when non-nil, records the schedule of a single Run or
+	// RunOn (replication clears it).
 	Trace *trace.Recorder
 	// Obs carries the observability hooks. ReplicateScenario keeps
 	// Obs.Counters (atomic, shareable across workers) but clears
@@ -120,12 +120,12 @@ func (sc Scenario) Validate() error {
 type FaultFactory func(seed uint64, prefix string) (FaultProcess, error)
 
 // Run executes the scenario once. All randomness derives from seed, so
-// runs are reproducible.
+// runs are reproducible: the run draws from the streams "scenario/…".
 func (sc Scenario) Run(seed uint64) (Report, error) {
 	if err := sc.Validate(); err != nil {
 		return Report{}, err
 	}
-	return sc.run(seed, "scenario")
+	return sc.runSingle(seed, runName{base: "scenario", index: -1})
 }
 
 // RunOn executes the scenario once on a caller-named stream, for
@@ -133,6 +133,7 @@ func (sc Scenario) Run(seed uint64) (Report, error) {
 // partial-verification positions from rng.Child("partial-positions").
 // Only the aggregate rates of Costs can draw from one stream, so
 // per-node (Nodes) and factory (Faults) fault processes are rejected.
+// It panics on a nil stream.
 func (sc Scenario) RunOn(rng *rngx.Stream) (Report, error) {
 	if err := sc.Validate(); err != nil {
 		return Report{}, err
@@ -140,101 +141,34 @@ func (sc Scenario) RunOn(rng *rngx.Stream) (Report, error) {
 	if len(sc.Nodes) > 0 || sc.Faults != nil {
 		return Report{}, fmt.Errorf("engine: RunOn takes aggregate fault rates only, not Nodes or a Faults factory")
 	}
-	app, err := sc.appWith(NewAggregateFaults(sc.Costs.LambdaS, sc.Costs.LambdaF, rng), rng.Child("partial-positions"), nil)
+	if rng == nil {
+		panic("engine: nil rng stream")
+	}
+	return sc.runSingle(rng.Seed(), runName{base: rng.Name(), index: -1, exec: rng})
+}
+
+// runSingle executes one run of a validated scenario on a one-run
+// campaign: the pooled assembly replication uses, with the scenario's
+// trace hooks kept.
+func (sc Scenario) runSingle(seed uint64, name runName) (Report, error) {
+	c, err := newScenarioCampaign(sc)
 	if err != nil {
 		return Report{}, err
 	}
-	return app.Run()
-}
-
-// run builds the policy set under the given stream-name prefix and
-// executes. Distinct prefixes give replications independent substreams
-// while staying deterministic in (seed, prefix).
-func (sc Scenario) run(seed uint64, prefix string) (Report, error) {
-	return sc.runSized(seed, prefix, nil)
+	defer c.release()
+	s := getScratch(c)
+	defer putScratch(s)
+	return s.runOnce(c, seed, name)
 }
 
 // patternSizes returns the scenario's pattern work sequence — the same
-// values every run of the scenario computes, so replication precomputes
+// values every run of the scenario computes, so a campaign computes
 // them once and shares the (read-only) slice across all runs.
 func (sc Scenario) patternSizes() []float64 {
 	if sc.TwoLevel != nil {
 		return WholePatterns(int(sc.TotalWork/sc.Plan.W), sc.Plan.W)
 	}
 	return PatternSizes(sc.TotalWork, sc.Plan.W)
-}
-
-// runSized is run with an optional precomputed pattern-size sequence
-// (nil recomputes it). App never mutates the slice, so concurrent runs
-// may share one.
-func (sc Scenario) runSized(seed uint64, prefix string, sizes []float64) (Report, error) {
-	app, err := sc.appSized(seed, prefix, sizes)
-	if err != nil {
-		return Report{}, err
-	}
-	return app.Run()
-}
-
-// appSized builds the App that runSized executes.
-func (sc Scenario) appSized(seed uint64, prefix string, sizes []float64) (*App, error) {
-	var fp FaultProcess
-	var sampledRNG interface{ Intn(int) int }
-	if sc.Faults != nil {
-		p, err := sc.Faults(seed, prefix)
-		if err != nil {
-			return nil, err
-		}
-		fp = p
-		sampledRNG = rngx.NewStream(seed, prefix+"/partial-positions")
-	} else if len(sc.Nodes) > 0 {
-		pn, err := NewPerNodeFaults(sc.Nodes, seed, prefix)
-		if err != nil {
-			return nil, err
-		}
-		fp = pn
-		sampledRNG = rngx.NewStream(seed, prefix+"/partial-positions")
-	} else {
-		stream := rngx.NewStream(seed, prefix+"/exec")
-		fp = NewAggregateFaults(sc.Costs.LambdaS, sc.Costs.LambdaF, stream)
-		// Child derivation does not consume stream state, so the fault
-		// process is unchanged by enabling partial checks.
-		sampledRNG = stream.Child("partial-positions")
-	}
-	return sc.appWith(fp, sampledRNG, sizes)
-}
-
-// appWith assembles the App around a fault process and a
-// partial-position source (nil sizes recomputes the pattern sequence).
-func (sc Scenario) appWith(fp FaultProcess, sampledRNG interface{ Intn(int) int }, sizes []float64) (*App, error) {
-	var tier Tier
-	if sizes == nil {
-		sizes = sc.patternSizes()
-	}
-	if sc.TwoLevel != nil {
-		tier = NewTwoLevel(*sc.TwoLevel, sc.Costs.R, int(sc.TotalWork/sc.Plan.W))
-	} else {
-		tier = NewSingleLevel(sc.Costs.C, sc.Costs.R)
-	}
-
-	var sampled *detect.SampledVerifier
-	if sc.Partial != nil {
-		sampled = detect.NewSampledVerifier(sc.Detector, sampledRNG, sc.Partial.Coverage)
-	}
-
-	return NewApp(AppConfig{
-		Plan:             sc.Plan,
-		Verify:           sc.Costs.V,
-		Sizes:            sizes,
-		Faults:           fp,
-		Tier:             tier,
-		Recorder:         NewMeterRecorder(sc.Model),
-		Detector:         sc.Detector,
-		Trace:            sc.Trace,
-		Obs:              sc.Obs,
-		SkipVerification: sc.SkipVerification,
-		Partial:          sc.Partial,
-		Sampled:          sampled,
-	}, sc.NewWorkload())
 }
 
 // ReplicateScenario runs n independent executions of the scenario
@@ -262,10 +196,8 @@ func ReplicateScenarioCtx(ctx context.Context, sc Scenario, seed uint64, n, work
 // shards at submit — so fan-out shards don't re-pay validation per
 // call. Behavior on a scenario that would not validate is undefined.
 func ReplicateScenarioValidatedCtx(ctx context.Context, sc Scenario, seed uint64, n, workers int) (Estimate, error) {
-	run := sc // traces are per-run state; never share one recorder across goroutines
-	run.Trace = nil
-	run.Obs.TraceSink = nil
-	c, err := newScenarioCampaign(run)
+	sc.Trace, sc.Obs.TraceSink = nil, nil // single-run state: never share one recorder across goroutines
+	c, err := newScenarioCampaign(sc)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -280,11 +212,10 @@ func ReplicateScenarioValidatedCtx(ctx context.Context, sc Scenario, seed uint64
 // "scenario/<i>" — the same prefix for in-process fan-out and isolated
 // chunk execution, which is what makes the two bit-identical.
 func runScenarioRange(ctx context.Context, c *scenarioCampaign, seed uint64, lo, hi int, acc *estimator) error {
-	s := scenarioScratchPool.Get().(*scenarioScratch)
-	defer scenarioScratchPool.Put(s)
-	s.prepare(c)
+	s := getScratch(c)
+	defer putScratch(s)
 	for i := lo; i < hi; i++ {
-		rep, err := s.runOnce(c, seed, i)
+		rep, err := s.runOnce(c, seed, replication(i))
 		if err != nil {
 			return err
 		}
@@ -317,10 +248,8 @@ func ReplicateScenarioChunkValidatedCtx(ctx context.Context, sc Scenario, seed u
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := sc
-	run.Trace = nil
-	run.Obs.TraceSink = nil
-	c, err := newScenarioCampaign(run)
+	sc.Trace, sc.Obs.TraceSink = nil, nil
+	c, err := newScenarioCampaign(sc)
 	if err != nil {
 		return ChunkEstimate{}, err
 	}

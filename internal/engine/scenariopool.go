@@ -11,17 +11,16 @@ import (
 	"respeed/internal/rngx"
 )
 
-// This file is the pooled form of the scenario replication hot path.
-// Historically every replication of ReplicateScenario rebuilt the whole
-// App — workload pair, fault injector, checkpoint tier, meter, verifier
-// — from scratch (~2.4k allocations per 50-run estimate). The pooled
-// path builds the campaign-wide pieces once per call (including the
-// clean reference trajectory every run verifies against), keeps the per-run
-// pieces in a scratch recycled through a sync.Pool, and resets each
-// component in place to the exact state a fresh construction would
-// have, so the executions stay bit-identical to Scenario.runSized runs
-// (the equivalence tests replay both and compare reports byte for
-// byte).
+// This file is the one place a Scenario run is assembled: Run, RunOn
+// and every replication build a campaign (the pieces shared by all of
+// its runs, including the clean reference trajectory every run verifies
+// against), take a scratch of per-run pieces from a sync.Pool, and reset
+// each component in place to the exact state a fresh construction would
+// have. Building the whole App fresh per run — workload pair, fault
+// process, checkpoint tier, meter, verifier — costs ~2.4k allocations
+// per 50-run estimate. The executions are bit-identical to that fresh
+// construction, which the tests keep as their reference and replay
+// against the pooled runs, reports compared byte for byte.
 
 // scenarioCampaign is the per-call shared context of a pooled scenario
 // replication: the validated scenario (trace hooks already cleared),
@@ -48,9 +47,10 @@ type scenarioCampaign struct {
 
 // newScenarioCampaign builds the shared context on the calling
 // goroutine, reference trajectory included. sc must already be
-// validated, with Trace and Obs.TraceSink cleared. The caller owns the
-// context until it calls release, which it must defer past the end of
-// the fan-out: every worker reads the reference.
+// validated; its runs record into sc.Trace and sc.Obs.TraceSink, which
+// a fan-out must clear first. The caller owns the context until it
+// calls release, which it must defer past the end of the fan-out: every
+// worker reads the reference.
 func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 	proto := sc.NewWorkload()
 	if proto == nil {
@@ -77,9 +77,8 @@ func (c *scenarioCampaign) buildRef() error {
 	if c.sc.SkipVerification || c.sc.Partial != nil {
 		return nil
 	}
-	s := scenarioScratchPool.Get().(*scenarioScratch)
-	defer scenarioScratchPool.Put(s)
-	s.prepare(c)
+	s := getScratch(c)
+	defer putScratch(s)
 	if err := s.main.restore(c.initState); err != nil {
 		return fmt.Errorf("engine: reset reference workload: %w", err)
 	}
@@ -100,13 +99,14 @@ func (c *scenarioCampaign) release() {
 }
 
 // scenarioScratch is the pooled per-chunk working set of scenario
-// replication: every per-run component of an App, reset in place
-// between runs. One scratch serves one chunk at a time; the pool hands
-// it to the next chunk afterwards.
+// runs: every per-run component of an App, reset in place between
+// runs. One scratch serves one chunk (or one single run) at a time; the
+// pool hands it to the next afterwards.
 type scenarioScratch struct {
 	execRNG    rngx.Stream
 	sampledRNG rngx.Stream
 	agg        AggregateFaults
+	perNode    PerNodeFaults
 	meter      energy.Meter
 	rec        MeterRecorder
 	verifier   detect.Verifier
@@ -131,6 +131,23 @@ type scenarioScratch struct {
 
 var scenarioScratchPool = sync.Pool{New: func() any { return new(scenarioScratch) }}
 
+// getScratch takes a scratch from the pool, prepared for c.
+func getScratch(c *scenarioCampaign) *scenarioScratch {
+	s := scenarioScratchPool.Get().(*scenarioScratch)
+	s.prepare(c)
+	return s
+}
+
+// putScratch returns s to the pool without what its last run borrowed
+// from the caller: the trace recorder and sink, RunOn's stream, the
+// node list, the fault factory's process and the campaign's reference.
+func putScratch(s *scenarioScratch) {
+	s.app = App{corruptBuf: s.app.corruptBuf}
+	s.agg.rng = nil
+	s.perNode.nodes = nil
+	scenarioScratchPool.Put(s)
+}
+
 // prepare points the scratch at a campaign: wire the internal
 // references that survive pooling and establish the workload (plus the
 // replica a partial campaign needs).
@@ -152,51 +169,67 @@ func (s *scenarioScratch) prepare(c *scenarioCampaign) {
 	}
 }
 
-// runOnce executes replication i of the campaign, bit-identically to
-// sc.runSized(seed, "scenario/<i>", sizes) on a fresh App.
-func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Report, error) {
+// runName names the streams of one run: base, or base+decimal(index)
+// when index ≥ 0 ("scenario" for a single Run, "scenario/<i>" for
+// replication i). exec, when set, is RunOn's stream, named base: the
+// aggregate faults draw from it instead of from "<name>/exec".
+type runName struct {
+	base  string
+	index int
+	exec  *rngx.Stream
+}
+
+// replication names replication i of a campaign: "scenario/<i>/…".
+func replication(i int) runName { return runName{base: "scenario/", index: i} }
+
+// String materializes the name, for fault factories.
+func (n runName) String() string {
+	if n.index < 0 {
+		return n.base
+	}
+	return n.base + strconv.Itoa(n.index)
+}
+
+// reseed derives st in place as rngx.NewStream(seed, n.String()+suffix)
+// would; an indexed name is hashed from its parts, never built.
+func (n runName) reseed(st *rngx.Stream, seed uint64, suffix string) {
+	if n.index < 0 {
+		st.Reseed(seed, n.base+suffix)
+		return
+	}
+	st.ReseedIndexedSuffix(seed, n.base, n.index, suffix)
+}
+
+// runOnce executes one run of the campaign under name's streams,
+// bit-identically to a fresh App built by NewApp for the same run.
+func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, name runName) (Report, error) {
 	sc := &c.sc
 
-	// Fault process and partial-verification position stream, under the
-	// historical stream names. The aggregate path derives both with the
-	// no-materialize indexed-suffix hash; the factory and per-node paths
-	// need the prefix string itself.
+	// The fault process and the partial-verification position stream,
+	// under the historical stream names.
 	var fp FaultProcess
-	var sampledSrc interface{ Intn(int) int }
+	positions := "/partial-positions"
 	switch {
 	case sc.Faults != nil:
-		prefix := "scenario/" + strconv.Itoa(i)
-		p, err := sc.Faults(seed, prefix)
+		p, err := sc.Faults(seed, name.String())
 		if err != nil {
 			return Report{}, err
 		}
 		fp = p
-		if sc.Partial != nil {
-			s.sampledRNG.Reseed(seed, prefix+"/partial-positions")
-			sampledSrc = &s.sampledRNG
-		}
 	case len(sc.Nodes) > 0:
-		prefix := "scenario/" + strconv.Itoa(i)
-		pn, err := NewPerNodeFaults(sc.Nodes, seed, prefix)
-		if err != nil {
-			return Report{}, err
-		}
-		fp = pn
-		if sc.Partial != nil {
-			s.sampledRNG.Reseed(seed, prefix+"/partial-positions")
-			sampledSrc = &s.sampledRNG
-		}
+		s.perNode.reset(sc.Nodes, seed, name)
+		fp = &s.perNode
 	default:
-		s.execRNG.ReseedIndexedSuffix(seed, "scenario/", i, "/exec")
-		s.agg = AggregateFaults{lambdaS: sc.Costs.LambdaS, lambdaF: sc.Costs.LambdaF, rng: &s.execRNG}
-		fp = &s.agg
-		if sc.Partial != nil {
-			// The historical Child("partial-positions") derivation:
-			// "scenario/<i>/exec/partial-positions", consuming no exec
-			// stream state.
-			s.sampledRNG.ReseedIndexedSuffix(seed, "scenario/", i, "/exec/partial-positions")
-			sampledSrc = &s.sampledRNG
+		exec := name.exec
+		if exec == nil {
+			name.reseed(&s.execRNG, seed, "/exec")
+			exec = &s.execRNG
+			// The historical exec.Child("partial-positions"), which
+			// consumes no exec stream state.
+			positions = "/exec/partial-positions"
 		}
+		s.agg = AggregateFaults{lambdaS: sc.Costs.LambdaS, lambdaF: sc.Costs.LambdaF, rng: exec}
+		fp = &s.agg
 	}
 
 	var tier Tier
@@ -209,9 +242,15 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 	}
 
 	var sampled *detect.SampledVerifier
+	var replica *Runner
 	if sc.Partial != nil {
-		s.sampled.Reset(sc.Detector, sampledSrc, sc.Partial.Coverage)
+		name.reseed(&s.sampledRNG, seed, positions)
+		s.sampled.Reset(sc.Detector, &s.sampledRNG, sc.Partial.Coverage)
 		sampled = &s.sampled
+		replica = s.replica
+		if err := replica.restore(c.initState); err != nil {
+			return Report{}, fmt.Errorf("engine: reset replica: %w", err)
+		}
 	}
 
 	s.rec.clock = 0
@@ -220,18 +259,10 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 	if err := s.main.restore(c.initState); err != nil {
 		return Report{}, fmt.Errorf("engine: reset workload: %w", err)
 	}
-	var replica *Runner
-	if sc.Partial != nil {
-		replica = s.replica
-		if err := replica.restore(c.initState); err != nil {
-			return Report{}, fmt.Errorf("engine: reset replica: %w", err)
-		}
-	}
 
 	// Assemble the App by assignment — the configuration is the one
-	// NewApp would build, already validated at the campaign level — but
-	// keep the corruption scratch buffer across runs.
-	corruptBuf := s.app.corruptBuf
+	// NewApp would build, already validated with the scenario — but keep
+	// the corruption scratch buffer across runs.
 	s.app = App{
 		cfg: AppConfig{
 			Plan:             sc.Plan,
@@ -241,6 +272,7 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 			Tier:             tier,
 			Recorder:         &s.rec,
 			Detector:         sc.Detector,
+			Trace:            sc.Trace,
 			Obs:              sc.Obs,
 			SkipVerification: sc.SkipVerification,
 			Partial:          sc.Partial,
@@ -251,7 +283,7 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, i int) (Repo
 		replica:    replica,
 		verifier:   &s.verifier,
 		rec:        &s.rec,
-		corruptBuf: corruptBuf,
+		corruptBuf: s.app.corruptBuf,
 	}
 	return s.app.Run()
 }

@@ -188,7 +188,8 @@ func SimulatePatterns(cfg Config, plan Plan, n int, seed uint64) (Estimate, erro
 // makespan, energy, error/detection counts and the final state digest.
 // The run is deterministic in seed. Faults follow the aggregate rates
 // of cfg.Costs; per-node (cfg.Nodes) or factory (cfg.Faults) fault
-// processes are rejected, and cfg.NewWorkload is replaced by w.
+// processes are rejected, and cfg.NewWorkload is replaced by w. The run
+// advances a clone of w, never w itself, so w keeps its state.
 func RunWorkload(cfg ExecConfig, w Workload, seed uint64) (ExecReport, error) {
 	cfg.NewWorkload = func() *engine.Runner { return engine.FromWorkload(w) }
 	return cfg.RunOn(rngx.NewStream(seed, "respeed/exec"))
@@ -601,7 +602,8 @@ func UniformScenarioNodes(n int, totalSilentRate, totalFailStopRate float64) []C
 }
 
 // RunScenario executes the scenario once on a workload built by mk.
-// The run is deterministic in seed.
+// The run is deterministic in seed, and it advances a clone of mk's
+// workload, never the workload itself.
 func RunScenario(sc Scenario, mk func() Workload, seed uint64) (ScenarioReport, error) {
 	if mk != nil {
 		sc.NewWorkload = func() *engine.Runner { return engine.FromWorkload(mk()) }

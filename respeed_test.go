@@ -1,7 +1,9 @@
 package respeed_test
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"respeed"
@@ -126,6 +128,44 @@ func TestFacadeRunWorkload(t *testing.T) {
 	}
 	if rep.FinalProgress != 300 {
 		t.Errorf("progress %g", rep.FinalProgress)
+	}
+}
+
+// TestFacadeRunsLeaveCallerWorkload runs one caller workload twice
+// through RunWorkload and RunScenario: every run works on a clone, so
+// the workload keeps its state and the second run repeats the first.
+func TestFacadeRunsLeaveCallerWorkload(t *testing.T) {
+	cfg, _ := respeed.ConfigByName("Hera/XScale")
+	p := respeed.ParamsFor(cfg)
+	ec := respeed.ExecConfig{
+		Plan:      respeed.Plan{W: 50, Sigma1: 0.4, Sigma2: 0.8},
+		Costs:     respeed.Costs{C: p.C, V: p.V, R: p.R, LambdaS: 2e-3, LambdaF: 5e-4},
+		Model:     respeed.PowerModelFor(cfg),
+		TotalWork: 300,
+	}
+	w := respeed.NewHeatWorkload(128, 0.25)
+	state := append([]byte(nil), w.State()...)
+	runs := map[string]func() (respeed.ExecReport, error){
+		"RunWorkload": func() (respeed.ExecReport, error) { return respeed.RunWorkload(ec, w, 7) },
+		"RunScenario": func() (respeed.ExecReport, error) {
+			return respeed.RunScenario(ec, func() respeed.Workload { return w }, 7)
+		},
+	}
+	for name, run := range runs {
+		first, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: a second run on the same workload differs:\n got %+v\nwant %+v", name, second, first)
+		}
+		if first.FinalProgress != 300 || !bytes.Equal(w.State(), state) {
+			t.Errorf("%s advanced the caller's workload (run progress %g)", name, first.FinalProgress)
+		}
 	}
 }
 
