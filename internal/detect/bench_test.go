@@ -29,3 +29,28 @@ func BenchmarkCRC32C_4K(b *testing.B) {
 		d.Sum(state)
 	}
 }
+
+// BenchmarkVerify checks one 2,064-byte state — a heat2d 16×16
+// snapshot, the simulate shape's — against reference bytes: equal
+// bytes pass on a compare, a mismatch digests both sides.
+func BenchmarkVerify(b *testing.B) {
+	const n = 2064
+	ref := benchState(n)
+	for _, tc := range []struct {
+		name string
+		flip bool
+	}{{"equal", false}, {"mismatch", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			state := benchState(n)
+			if tc.flip {
+				state[n-1] ^= 1
+			}
+			v := NewVerifier(FNV64{})
+			b.SetBytes(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Verify(state, ref)
+			}
+		})
+	}
+}

@@ -4,12 +4,19 @@
 // mechanism"); what matters is that a verification at the end of a
 // pattern reliably flags state corrupted since the last verified
 // checkpoint. We provide digest-based detectors (FNV-64a and CRC-32), a
-// guaranteed verifier that compares a state's digest with a reference
-// digest or reference bytes, and a sampled-window partial verifier, all
-// operating on real state bytes.
+// guaranteed verifier that compares a state with reference bytes or a
+// reference digest, and a sampled-window partial verifier, all operating
+// on real state bytes.
+//
+// Against reference bytes, the guaranteed verifier passes a state equal
+// to them byte for byte without taking a digest: a detector is a pure
+// function of the bytes, so equal bytes always sum equal. Only states
+// that differ are digested, both sides, so every detector still makes
+// the decision its digests make, including a weak digest's misses.
 package detect
 
 import (
+	"bytes"
 	"hash/crc32"
 )
 
@@ -22,9 +29,10 @@ type Detector interface {
 	// Name identifies the mechanism.
 	Name() string
 	// Sum fingerprints the state. It must be a pure function of the
-	// bytes: the engine digests the clean reference trajectory once per
-	// call and compares every run's live state against those stored
-	// digests, which is sound only if equal bytes always sum equal.
+	// bytes: Verifier.Verify passes equal bytes without calling it, and
+	// the engine compares every run's live state against a clean
+	// reference trajectory computed once per call, which is sound only
+	// if equal bytes always sum equal.
 	Sum(state []byte) Digest
 }
 
@@ -67,7 +75,8 @@ func (CRC32C) Sum(state []byte) Digest {
 
 // Verifier compares live state against a reference (the paper's
 // verification step): either the reference bytes themselves (Verify) or
-// a digest of them taken ahead of time (VerifyDigest).
+// a digest of them taken ahead of time (VerifyDigest). Both reach the
+// decision the detector's digests reach, and count it the same way.
 type Verifier struct {
 	det Detector
 	// Counters.
@@ -95,11 +104,16 @@ func (v *Verifier) Reset(det Detector) {
 // Detector returns the underlying detector.
 func (v *Verifier) Detector() Detector { return v.det }
 
-// Verify compares the digest of state against that of reference and
-// reports whether they match (true = verification passed). Counting is
-// deliberate: experiment harnesses assert that the number of checks
-// equals the number of pattern attempts.
+// Verify compares state against reference and reports whether they
+// match (true = verification passed). Equal bytes pass without a digest;
+// unequal bytes pass only if their digests are equal (a detector miss).
+// Counting is deliberate: experiment harnesses assert that the number of
+// checks equals the number of pattern attempts.
 func (v *Verifier) Verify(state, reference []byte) bool {
+	if bytes.Equal(state, reference) {
+		v.checks++
+		return true
+	}
 	return v.VerifyDigest(state, v.det.Sum(reference))
 }
 

@@ -103,15 +103,20 @@ func TestVerifierCountsAndDetects(t *testing.T) {
 }
 
 // TestVerifyDigestMatchesVerify requires the precomputed-reference check
-// to decide and count exactly as the two-state check does.
+// to decide and count exactly as the two-state check does, for states
+// equal to the reference and for states differing from it in the first
+// byte, in the last byte and in length.
 func TestVerifyDigestMatchesVerify(t *testing.T) {
 	clean := []byte("the quick brown fox")
 	dirty := append([]byte(nil), clean...)
 	dirty[3] ^= 0x40
+	last := append([]byte(nil), clean...)
+	last[len(last)-1] ^= 0x01
+	short := clean[:len(clean)-1]
 	for _, det := range []Detector{FNV64{}, CRC32C{}} {
 		a, b := NewVerifier(det), NewVerifier(det)
 		ref := det.Sum(clean)
-		for _, state := range [][]byte{clean, dirty, clean, dirty, dirty} {
+		for _, state := range [][]byte{clean, dirty, clean, dirty, dirty, last, short} {
 			if got, want := b.VerifyDigest(state, ref), a.Verify(state, clean); got != want {
 				t.Fatalf("%s: VerifyDigest = %v, Verify = %v", det.Name(), got, want)
 			}
@@ -120,9 +125,70 @@ func TestVerifyDigestMatchesVerify(t *testing.T) {
 			t.Fatalf("%s: counts diverged: Verify %d/%d, VerifyDigest %d/%d", det.Name(),
 				a.Checks(), a.Detections(), b.Checks(), b.Detections())
 		}
-		if b.Checks() != 5 || b.Detections() != 3 {
-			t.Fatalf("%s: VerifyDigest counted %d checks, %d detections; want 5, 3", det.Name(), b.Checks(), b.Detections())
+		if b.Checks() != 7 || b.Detections() != 5 {
+			t.Fatalf("%s: VerifyDigest counted %d checks, %d detections; want 7, 5", det.Name(), b.Checks(), b.Detections())
 		}
+	}
+}
+
+// countingDetector counts its Sum calls. With collide set it digests
+// every state to one value, so it misses every corruption.
+type countingDetector struct {
+	sums    *int
+	collide bool
+}
+
+func (d countingDetector) Name() string { return "counting" }
+
+func (d countingDetector) Sum(state []byte) Digest {
+	*d.sums++
+	if d.collide {
+		return 7
+	}
+	return FNV64{}.Sum(state)
+}
+
+// TestVerifyEqualBytesTakeNoDigest pins the short-circuit: a state equal
+// to its reference passes on one compare, without calling the detector,
+// and counts one check and no detection.
+func TestVerifyEqualBytesTakeNoDigest(t *testing.T) {
+	sums := 0
+	v := NewVerifier(countingDetector{sums: &sums})
+	clean := []byte("the quick brown fox")
+	if !v.Verify(clean, append([]byte(nil), clean...)) {
+		t.Fatal("equal bytes failed verification")
+	}
+	if sums != 0 {
+		t.Errorf("equal bytes took %d digests, want 0", sums)
+	}
+	if v.Checks() != 1 || v.Detections() != 0 {
+		t.Errorf("counted %d checks, %d detections; want 1, 0", v.Checks(), v.Detections())
+	}
+}
+
+// TestVerifyUnequalBytesConsultDetector requires every state that
+// differs from its reference, wherever it differs, to be decided by the
+// detector's digests, both sides: a detector that collides on every
+// input passes them all, so a weak detector's misses are kept rather
+// than overruled by the compare.
+func TestVerifyUnequalBytesConsultDetector(t *testing.T) {
+	sums := 0
+	v := NewVerifier(countingDetector{sums: &sums, collide: true})
+	clean := []byte("the quick brown fox")
+	first := append([]byte(nil), clean...)
+	first[0] ^= 0x80
+	last := append([]byte(nil), clean...)
+	last[len(last)-1] ^= 0x01
+	for _, state := range [][]byte{first, last, clean[:len(clean)-1]} {
+		if !v.Verify(state, clean) {
+			t.Errorf("%q: unequal bytes with equal digests failed verification", state)
+		}
+	}
+	if sums != 6 {
+		t.Errorf("three unequal states took %d digests, want 6 (both sides of each)", sums)
+	}
+	if v.Checks() != 3 || v.Detections() != 0 {
+		t.Errorf("counted %d checks, %d detections; want 3, 0", v.Checks(), v.Detections())
 	}
 }
 

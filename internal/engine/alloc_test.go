@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -72,6 +73,13 @@ func TestReplicatePatternParallelAllocBudget(t *testing.T) {
 // per-node error counts; see simulateAllocBudget).
 const scenarioAllocBudget = 64
 
+// scenarioByteBudget bounds the bytes one such call allocates. Measured
+// at ~11 KB for the aggregate composition and ~12 KB for the simulate
+// shape. A call's reference trajectory comes from a pool, and at the
+// simulate shape one trajectory holds 100 clean states of 2,064 B
+// (≈202 KiB), so building it per call breaks the budget.
+const scenarioByteBudget = 48 << 10
+
 func TestReplicateScenarioAllocBudget(t *testing.T) {
 	testScenarioAllocBudget(t, testScenario(), 50, scenarioAllocBudget)
 }
@@ -90,25 +98,38 @@ func TestReplicateScenarioSimulateAllocBudget(t *testing.T) {
 }
 
 // testScenarioAllocBudget holds one warm n-run ReplicateScenario call of
-// sc to budget allocations.
+// sc to budget allocations and to scenarioByteBudget bytes allocated,
+// both averaged over ten calls at GOMAXPROCS=1 as testing.AllocsPerRun
+// measures.
 func testScenarioAllocBudget(t *testing.T, sc Scenario, n int, budget float64) {
 	run := func() {
 		if _, err := ReplicateScenario(sc, 1, n, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	const calls = 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run() // warm the shared executor and scenario scratch pool
-	allocs := testing.AllocsPerRun(10, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64((after.Mallocs - before.Mallocs) / calls)
+	bytes := float64((after.TotalAlloc - before.TotalAlloc) / calls)
 	if raceEnabled {
-		// The race detector drops pooled scratch, so the count measures
-		// it, not the pooled path; the non-race run enforces the budget.
-		t.Skipf("race detector on: %.0f allocs per call not held to the pooled budget", allocs)
+		// The race detector drops pooled scratch, so the counts measure
+		// it, not the pooled path; the non-race run enforces the budgets.
+		t.Skipf("race detector on: %.0f allocs, %.0f B per call not held to the pooled budgets", allocs, bytes)
 	}
 	if allocs > budget {
 		t.Errorf("ReplicateScenario allocates %.0f times per call, budget %.0f", allocs, budget)
-	} else {
-		t.Logf("%.0f allocs per call, budget %.0f", allocs, budget)
 	}
+	if bytes > scenarioByteBudget {
+		t.Errorf("ReplicateScenario allocates %.0f B per call, budget %d", bytes, scenarioByteBudget)
+	}
+	t.Logf("%.0f allocs, %.0f B per call; budgets %.0f allocs, %d B", allocs, bytes, budget, scenarioByteBudget)
 }
 
 // TestChunkFanOutAllocBudget bounds the executor fan-out machinery alone

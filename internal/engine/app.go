@@ -109,22 +109,25 @@ type Report struct {
 
 // App drives a real state-carrying workload through the composed
 // policies: fault injection flips bits in real state, verification
-// compares the live state's digest with the clean reference trajectory,
+// compares the live state with the clean reference trajectory,
 // checkpoints store real bytes, recovery restores them.
 //
 // The reference is computed once, not stepped alongside every run: by
 // the Workload determinism contract the clean state after pattern k is
 // the same bytes in every run and on every retry, and every rollback
 // restores a verified checkpoint equal to the reference at its pattern.
-// Only partial verification keeps a live clean replica, because its
-// sampled windows compare raw bytes at segment boundaries.
+// It stores the clean states, so a state equal to its entry passes
+// without a digest and only a differing one is digested, both sides, to
+// reach the detector's decision (above maxReferenceBytes it stores
+// digests instead). Only partial verification keeps a live clean
+// replica, because its sampled windows compare raw bytes at segment
+// boundaries.
 type App struct {
 	cfg  AppConfig
 	main *Runner
-	// ref[k] digests the clean state after sizes[0..k] (nil under
-	// SkipVerification and Partial); it is read-only and may be shared
-	// by concurrent runs.
-	ref []detect.Digest
+	// ref is the clean trajectory (nil under SkipVerification and
+	// Partial); it is read-only and may be shared by concurrent runs.
+	ref *reference
 	// replica is the live clean copy partial verification samples (nil
 	// otherwise); the tiers roll it back alongside main.
 	replica  *Runner
@@ -175,7 +178,8 @@ func NewApp(cfg AppConfig, wl *Runner) (*App, error) {
 	case cfg.Partial != nil:
 		x.replica = wl.clone()
 	case !cfg.SkipVerification:
-		x.ref = referenceDigests(make([]detect.Digest, 0, len(cfg.Sizes)), wl.clone(), cfg.Sizes, x.verifier.Detector())
+		x.ref = new(reference)
+		x.ref.build(wl.clone(), cfg.Sizes, x.verifier.Detector())
 	}
 	return x, nil
 }
@@ -293,7 +297,7 @@ func (x *App) Run() (Report, error) {
 
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyStart, Pattern: pattern, Attempt: attempt, Speed: sigma})
 		x.rec.Advance(verifyDur, energy.Verify, sigma)
-		if !x.verifier.VerifyDigest(x.main.state(), x.ref[pattern]) {
+		if !x.ref.verify(x.verifier, pattern, x.main.state()) {
 			resume, err := x.verifyFailed(pattern, attempt, "digest mismatch", out.Silent)
 			if err != nil {
 				return x.finish(), err

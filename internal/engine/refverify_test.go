@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,8 @@ import (
 )
 
 // The App verifies each pattern against a clean reference trajectory
-// digested once per call (referenceDigests). Before that it advanced,
+// computed once per call (reference.build): the clean states, or their
+// digests above maxReferenceBytes. Before that it advanced,
 // serialized and digested a clean replica in lockstep with every run.
 // This file keeps that live-replica discipline as the reference
 // implementation and requires the two to agree on every report, float
@@ -26,7 +28,7 @@ import (
 // the chunk entry point.
 
 // legacyMode turns an App into its pre-reference form: a live clean
-// replica, no reference digests. The tiers roll the replica back
+// replica, no reference trajectory. The tiers roll the replica back
 // alongside the workload whenever it is set.
 func legacyMode(x *App) *App {
 	if x.replica == nil {
@@ -265,26 +267,69 @@ func TestRunnerSerializesOncePerMutation(t *testing.T) {
 	}
 }
 
-// TestReferenceDigestsStepOncePerPattern pins the reference trajectory
-// to the App's granularity: one advance per pattern, digest after each.
-func TestReferenceDigestsStepOncePerPattern(t *testing.T) {
+// panicDetector fails a test that takes a digest where none is due.
+type panicDetector struct{}
+
+func (panicDetector) Name() string { return "panic" }
+
+func (panicDetector) Sum([]byte) detect.Digest {
+	panic("engine test: digest taken from a stored reference state")
+}
+
+// TestReferenceStepsOncePerPattern pins the reference trajectory to the
+// App's granularity: one advance per pattern, entry k the state after
+// sizes[0..k]. Stored states take no digest and refill a reused buffer
+// in place; a trajectory above maxReferenceBytes, or of a state that
+// changes length, holds the digests instead.
+func TestReferenceStepsOncePerPattern(t *testing.T) {
 	sizes := PatternSizes(333.3, 47.5)
 	mk := func() *Runner { return FromWorkload(workload.NewHeat(64, 0.2)) }
-	ref := referenceDigests(nil, mk(), sizes, detect.FNV64{})
-	if len(ref) != len(sizes) {
-		t.Fatalf("%d reference digests for %d patterns", len(ref), len(sizes))
+	var ref reference
+	ref.build(mk(), sizes, panicDetector{})
+	if ref.stride == 0 || len(ref.states) != len(sizes)*ref.stride || len(ref.digests) != 0 {
+		t.Fatalf("%d patterns stored as %d bytes at stride %d and %d digests", len(sizes), len(ref.states), ref.stride, len(ref.digests))
 	}
 	w := mk()
 	for k, size := range sizes {
 		w.advance(size)
-		if want := (detect.FNV64{}).Sum(w.state()); ref[k] != want {
-			t.Fatalf("ref[%d] = %x, want the digest after sizes[0..%d] = %x", k, ref[k], k, want)
+		if !bytes.Equal(ref.state(k), w.state()) {
+			t.Fatalf("entry %d is not the state after sizes[0..%d]", k, k)
 		}
 	}
-	// A reused buffer is refilled in place, not appended to.
-	want := append([]detect.Digest(nil), ref...)
-	if again := referenceDigests(ref, mk(), sizes, detect.FNV64{}); !reflect.DeepEqual(again, want) || &again[0] != &ref[0] {
-		t.Fatal("referenceDigests did not reuse and refill its buffer")
+	// A reused trajectory is refilled in place, not grown.
+	want, buf := append([]byte(nil), ref.states...), &ref.states[0]
+	ref.build(mk(), sizes, panicDetector{})
+	if !bytes.Equal(ref.states, want) || &ref.states[0] != buf {
+		t.Fatal("build did not reuse and refill its buffer")
+	}
+
+	// Digest forms: a trajectory over the cap (100 patterns of a
+	// 48,016-byte state), and a state that grows at the third pattern.
+	growing := func() *Runner {
+		w := workload.NewStream(7, 64)
+		advances := 0
+		return NewRunner("growing", func(u float64) { w.Advance(u); advances++ }, w.Progress,
+			func() []byte { return append(w.State(), make([]byte, advances/3)...) }, nil, nil)
+	}
+	for _, tc := range []struct {
+		name  string
+		mk    func() *Runner
+		sizes []float64
+	}{
+		{"above-cap", func() *Runner { return FromWorkload(workload.NewHeat(6000, 0.2)) }, PatternSizes(100, 1)},
+		{"growing-state", growing, PatternSizes(10, 1)},
+	} {
+		ref.build(tc.mk(), tc.sizes, detect.FNV64{})
+		if ref.stride != 0 || len(ref.digests) != len(tc.sizes) {
+			t.Fatalf("%s: %d patterns kept at stride %d with %d digests, want digests only", tc.name, len(tc.sizes), ref.stride, len(ref.digests))
+		}
+		w := tc.mk()
+		for k, size := range tc.sizes {
+			w.advance(size)
+			if want := (detect.FNV64{}).Sum(w.state()); ref.digests[k] != want {
+				t.Fatalf("%s: digest %d = %x, want the digest after sizes[0..%d] = %x", tc.name, k, ref.digests[k], k, want)
+			}
+		}
 	}
 }
 
@@ -309,6 +354,16 @@ func referenceCases() []struct {
 	short.Detector = detect.CRC32C{}
 	short.NewWorkload = func() *Runner { return FromWorkload(workload.NewHeat2D(12, 0.2)) }
 
+	// 100 patterns of a 48,016-byte state: above maxReferenceBytes, so
+	// the reference holds digests. Quarter-sweep patterns and CRC-32C
+	// keep the test fast.
+	aboveCap := testScenario()
+	aboveCap.TotalWork = 25
+	aboveCap.Plan.W = 0.25
+	aboveCap.Costs.LambdaS = 1e-2
+	aboveCap.Detector = detect.CRC32C{}
+	aboveCap.NewWorkload = func() *Runner { return FromWorkload(workload.NewHeat(6000, 0.2)) }
+
 	return append(cases,
 		struct {
 			name string
@@ -317,7 +372,11 @@ func referenceCases() []struct {
 		struct {
 			name string
 			sc   Scenario
-		}{"short-last-pattern", short})
+		}{"short-last-pattern", short},
+		struct {
+			name string
+			sc   Scenario
+		}{"reference-above-cap", aboveCap})
 }
 
 // TestReferenceMatchesLiveReplica is the equivalence test: for every
@@ -368,6 +427,9 @@ func TestReferenceMatchesLiveReplica(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.release()
+			if c.ref != nil && (c.ref.stride == 0) != (tc.name == "reference-above-cap") {
+				t.Fatalf("reference stored at stride %d: only the above-cap case holds digests", c.ref.stride)
+			}
 			c.sc.Obs.TraceSink = guardSink()
 			s := scenarioScratchPool.Get().(*scenarioScratch)
 			defer putScratch(s)
@@ -473,7 +535,15 @@ func (d budgetDetector) Sum(state []byte) detect.Digest {
 // into another call before they finish.
 func TestReferenceSharedAcrossWorkers(t *testing.T) {
 	const seed, n = 23, 12
-	cases := referenceCases()
+	// The above-cap case shares its digests exactly as the others share
+	// their stored states, and its 4 MiB of state per run is slow under
+	// the race detector; TestReferenceMatchesLiveReplica covers it.
+	cases := slices.DeleteFunc(referenceCases(), func(tc struct {
+		name string
+		sc   Scenario
+	}) bool {
+		return tc.name == "reference-above-cap"
+	})
 	budget := new(atomic.Int64)
 	budget.Store(200_000)
 	for k := range cases {

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"respeed/internal/detect"
-	"respeed/internal/workload"
-)
+import "respeed/internal/workload"
 
 // Runner adapts any workload-like value for the full-stack executor.
 // In practice callers pass package workload kernels through
@@ -84,18 +81,4 @@ func (r *Runner) state() []byte {
 		r.snapped = true
 	}
 	return r.snap
-}
-
-// referenceDigests steps wl through sizes, one advance per pattern —
-// the granularity App uses — and returns ref with ref[k] the digest of
-// the state after sizes[0..k]: the clean trajectory every verification
-// of pattern k compares against. ref's backing array is reused when it
-// is large enough.
-func referenceDigests(ref []detect.Digest, wl *Runner, sizes []float64, det detect.Detector) []detect.Digest {
-	ref = ref[:0]
-	for _, w := range sizes {
-		wl.advance(w)
-		ref = append(ref, det.Sum(wl.state()))
-	}
-	return ref
 }

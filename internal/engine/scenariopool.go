@@ -38,11 +38,10 @@ type scenarioCampaign struct {
 	proto     *Runner
 	initState []byte
 
-	// ref[k] digests the clean state after sizes[0..k] (nil for blind
-	// and partial campaigns, which do not use it). It lives in refBuf,
-	// borrowed from refPool by buildRef until release.
-	ref    []detect.Digest
-	refBuf *[]detect.Digest
+	// ref is the clean trajectory (nil for blind and partial campaigns,
+	// which do not use it), borrowed from refPool by buildRef until
+	// release.
+	ref *reference
 }
 
 // newScenarioCampaign builds the shared context on the calling
@@ -68,11 +67,12 @@ func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 	return c, nil
 }
 
-// refPool recycles reference-trajectory buffers across calls.
-var refPool = sync.Pool{New: func() any { return new([]detect.Digest) }}
+// refPool recycles reference trajectories, and so their buffers, across
+// calls.
+var refPool = sync.Pool{New: func() any { return new(reference) }}
 
 // buildRef computes the campaign's reference trajectory into a pooled
-// buffer, stepping a pooled scratch workload from the initial state.
+// one, stepping a pooled scratch workload from the initial state.
 func (c *scenarioCampaign) buildRef() error {
 	if c.sc.SkipVerification || c.sc.Partial != nil {
 		return nil
@@ -83,18 +83,17 @@ func (c *scenarioCampaign) buildRef() error {
 		return fmt.Errorf("engine: reset reference workload: %w", err)
 	}
 	s.verifier.Reset(c.sc.Detector) // resolves a nil detector to FNV-64a
-	c.refBuf = refPool.Get().(*[]detect.Digest)
-	*c.refBuf = referenceDigests(*c.refBuf, s.main, c.sizes, s.verifier.Detector())
-	c.ref = *c.refBuf
+	c.ref = refPool.Get().(*reference)
+	c.ref.build(s.main, c.sizes, s.verifier.Detector())
 	return nil
 }
 
-// release returns the reference buffer to the pool; no run may read
+// release returns the reference trajectory to the pool; no run may read
 // c.ref afterwards.
 func (c *scenarioCampaign) release() {
-	if c.refBuf != nil {
-		refPool.Put(c.refBuf)
-		c.ref, c.refBuf = nil, nil
+	if c.ref != nil {
+		refPool.Put(c.ref)
+		c.ref = nil
 	}
 }
 

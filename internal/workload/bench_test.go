@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkHeatAdvance(b *testing.B) {
 	h := NewHeat(1024, 0.25)
@@ -35,5 +38,19 @@ func BenchmarkHeatRestore(b *testing.B) {
 		if err := h.Restore(snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHeat2DAdvance sweeps the stencil at the simulate shape
+// (16×16) and at a large grid.
+func BenchmarkHeat2DAdvance(b *testing.B) {
+	for _, n := range []int{16, 128} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			h := NewHeat2D(n, 0.2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Advance(1)
+			}
+		})
 	}
 }

@@ -37,7 +37,8 @@ func NewHeat2D(n int, alpha float64) *Heat2D {
 			y := float64(j)/float64(n-1) - 0.3
 			x2 := float64(i)/float64(n-1) - 0.75
 			y2 := float64(j)/float64(n-1) - 0.75
-			h.grid[i*n+j] = math.Exp(-40*(x*x+y*y)) + 0.5*math.Exp(-60*(x2*x2+y2*y2))
+			h.grid[i*n+j] = math.Exp(-40*(float64(x*x)+float64(y*y))) +
+				float64(0.5*math.Exp(-60*(float64(x2*x2)+float64(y2*y2))))
 		}
 	}
 	return h
@@ -54,21 +55,23 @@ func (h *Heat2D) Advance(units float64) {
 	h.frac += units
 	steps := int(h.frac)
 	h.frac -= float64(steps)
-	n := h.n
+	n, alpha := h.n, h.alpha
 	for s := 0; s < steps; s++ {
+		grid, buf := h.grid, h.buf
 		// Boundary rows/cols are Dirichlet (copied).
-		copy(h.buf[:n], h.grid[:n])
-		copy(h.buf[(n-1)*n:], h.grid[(n-1)*n:])
-		for i := 1; i < n-1; i++ {
-			h.buf[i*n] = h.grid[i*n]
-			h.buf[i*n+n-1] = h.grid[i*n+n-1]
+		copy(buf[:n], grid[:n])
+		copy(buf[(n-1)*n:], grid[(n-1)*n:])
+		for i := n; i < (n-1)*n; i += n {
+			// One row and its neighbours, swept without per-cell index
+			// arithmetic, in the historical float operation order.
+			up, mid, down, out := grid[i-n:i], grid[i:i+n], grid[i+n:i+2*n], buf[i:i+n]
+			out[0], out[n-1] = mid[0], mid[n-1]
 			for j := 1; j < n-1; j++ {
-				c := h.grid[i*n+j]
-				h.buf[i*n+j] = c + h.alpha*(h.grid[(i-1)*n+j]+h.grid[(i+1)*n+j]+
-					h.grid[i*n+j-1]+h.grid[i*n+j+1]-4*c)
+				c := mid[j]
+				out[j] = c + float64(alpha*(up[j]+down[j]+mid[j-1]+mid[j+1]-float64(4*c)))
 			}
 		}
-		h.grid, h.buf = h.buf, h.grid
+		h.grid, h.buf = buf, grid
 	}
 	h.done += units
 }

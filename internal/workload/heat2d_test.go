@@ -82,14 +82,6 @@ func TestHeat2DName(t *testing.T) {
 	}
 }
 
-func BenchmarkHeat2DAdvance(b *testing.B) {
-	h := NewHeat2D(128, 0.2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Advance(1)
-	}
-}
-
 func BenchmarkHeatStateSerialize(b *testing.B) {
 	h := NewHeat2D(128, 0.2)
 	h.Advance(5)

@@ -5,6 +5,12 @@
 // arbitrary work-unit increments, serializes that state for
 // checkpointing, and restores it on recovery — so the simulator's
 // checkpoint/verify/recover path exercises real data, not placeholders.
+//
+// The kernels compute the same bits on every GOARCH. Go may fuse x*y+z
+// into one multiply-add instruction (arm64 does), so every product that
+// feeds a sum is wrapped in an explicit float64 conversion, the
+// language's barrier against fusion. TestStateGolden pins the bits, and
+// CI fails on any fused instruction in the package's arm64 listing.
 package workload
 
 import (
@@ -94,7 +100,7 @@ func (h *Heat) Advance(units float64) {
 		n := len(h.grid)
 		h.buf[0], h.buf[n-1] = h.grid[0], h.grid[n-1]
 		for i := 1; i < n-1; i++ {
-			h.buf[i] = h.grid[i] + h.alpha*(h.grid[i-1]-2*h.grid[i]+h.grid[i+1])
+			h.buf[i] = h.grid[i] + float64(h.alpha*(h.grid[i-1]-2*h.grid[i]+h.grid[i+1]))
 		}
 		h.grid, h.buf = h.buf, h.grid
 	}
@@ -189,9 +195,9 @@ func (s *Stream) Advance(units float64) {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		v := float64(z>>11) * 0x1p-53
+		v := float64(float64(z>>11) * 0x1p-53)
 		s.sum += v
-		s.sumSq += v * v
+		s.sumSq += float64(v * v)
 	}
 	s.done += units
 }
@@ -301,7 +307,7 @@ func (m *MatVec) Advance(units float64) {
 		m.apply()
 		var norm float64
 		for _, v := range m.buf {
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
