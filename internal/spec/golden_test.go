@@ -8,6 +8,9 @@ package spec_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"path/filepath"
 	"testing"
 
 	"respeed/internal/core"
@@ -113,43 +116,105 @@ func TestBuiltinSpecsBitExact(t *testing.T) {
 	}
 }
 
-// TestBuiltinSpecsPinnedTraceHash pins the Hera/XScale seed-7 schedule
-// hashes so a silent behavior change in either the compile path or the
-// engine cannot hide behind the equivalence test (which would drift in
-// lockstep).
+// specPin is one spec's Hera/XScale fingerprint: the seed-7 single
+// run's schedule trace hash and makespan and energy bits, a seed-7
+// 30-run estimate's time mean and standard-deviation bits, and the
+// FNV-64a of the JSON reports of single runs at seeds 1–64. The reports
+// carry what makespan and energy do not: every counter and the per-node
+// attribution of each strike.
+type specPin struct {
+	trace, makespan, energy, mean, stddev, reports uint64
+}
+
+// pinnedSpecs holds the fingerprint of every built-in spec and every
+// examples/spec/*.json. The renewal specs (Weibull, log-normal, burst
+// and trace-replay channels) have no legacy construction to compare
+// against, so these constants are what keeps their draws, stream names
+// and channel order fixed.
+var pinnedSpecs = map[string]specPin{
+	"builtin/cluster-twolevel":       {0x8054900b544d5db8, 0x40bef57a23dd994a, 0x4134630804b434ed, 0x40b49b8580ccfcd7, 0x40941598c23c3f67, 0x187212180a9a5a76},
+	"builtin/partial-failstop":       {0x79a29d53c8dcee55, 0x40b7604000000000, 0x41292ed480000000, 0x40b7d3120eeea42b, 0x4083eaf07861d767, 0x51e647314b4b3a9e},
+	"example/cluster-twolevel.json":  {0x8054900b544d5db8, 0x40bef57a23dd994a, 0x4134630804b434ed, 0x40b49b8580ccfcd7, 0x40941598c23c3f67, 0x187212180a9a5a76},
+	"example/correlated-bursts.json": {0x05ce9e01aba42d27, 0x40b600cf46c7d543, 0x41251e9200088ad8, 0x40b5a8a349af0774, 0x4079ad0c1a1e287f, 0xacef02ff9663a26a},
+	"example/trace-replay.json":      {0x5269139721d8ae0a, 0x40b8ee4000000000, 0x412a919f40000000, 0x40b8ee4000000000, 0x0000000000000000, 0x6541c63d742b4b25},
+	"example/weibull-failstop.json":  {0x01666b3caf08ea58, 0x40b5168000000000, 0x41235e8033333333, 0x40b80c69ff3867f4, 0x408666dd7d22dae7, 0xfe9a401fe68ff55a},
+}
+
+// TestBuiltinSpecsPinnedTraceHash pins every built-in and example spec
+// to pinnedSpecs, so a silent behavior change in the compile path or
+// the engine cannot hide behind the equivalence test (which would drift
+// in lockstep).
 func TestBuiltinSpecsPinnedTraceHash(t *testing.T) {
 	cfg, _ := platform.ByName("Hera/XScale")
 	env := spec.EnvFor(cfg)
-	want := map[string]bool{"cluster-twolevel": true, "partial-failstop": true}
-	for name := range want {
+	specs := map[string]spec.ScenarioSpec{}
+	for _, name := range spec.Names() {
 		sp, ok := spec.ByName(name)
 		if !ok {
 			t.Fatalf("builtin %q missing", name)
 		}
-		sc, err := sp.Compile(env)
+		specs["builtin/"+name] = sp
+	}
+	paths, err := filepath.Glob("../../examples/spec/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		sp, err := spec.ParseFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc.Trace = trace.New(0)
-		if _, err := sc.Run(7); err != nil {
-			t.Fatal(err)
-		}
-		h := traceHash(t, sc.Trace)
-		if h == 0 {
-			t.Errorf("%s: empty trace hash", name)
-		}
-		t.Logf("%s seed-7 trace hash: 0x%016x", name, h)
-		// Determinism: a second compile + run reproduces the hash.
-		sc2, err := sp.Compile(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc2.Trace = trace.New(0)
-		if _, err := sc2.Run(7); err != nil {
-			t.Fatal(err)
-		}
-		if h2 := traceHash(t, sc2.Trace); h2 != h {
-			t.Errorf("%s: trace hash not reproducible: 0x%016x vs 0x%016x", name, h, h2)
+		specs["example/"+filepath.Base(path)] = sp
+	}
+	for key := range pinnedSpecs {
+		if _, ok := specs[key]; !ok {
+			t.Errorf("pinned spec %s not found", key)
 		}
 	}
+	for key, sp := range specs {
+		t.Run(key, func(t *testing.T) {
+			sc, err := sp.Compile(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const seed = 7
+			sc.Trace = trace.New(0)
+			rep, err := sc.Run(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := traceHash(t, sc.Trace)
+			sc.Trace = nil
+			est, err := engine.ReplicateScenario(sc, seed, 30, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reports bytes.Buffer
+			for s := uint64(1); s <= 64; s++ {
+				r, err := sc.Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := json.NewEncoder(&reports).Encode(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := specPin{
+				trace:    h,
+				makespan: math.Float64bits(rep.Makespan),
+				energy:   math.Float64bits(rep.Energy),
+				mean:     math.Float64bits(est.Time.Mean),
+				stddev:   math.Float64bits(est.Time.StdDev),
+				reports:  uint64(detect.FNV64{}.Sum(reports.Bytes())),
+			}
+			if want, ok := pinnedSpecs[key]; !ok || got != want {
+				t.Errorf("fingerprint: got %q: {%s}, want {%s}", key, pinString(got), pinString(want))
+			}
+		})
+	}
+}
+
+func pinString(p specPin) string {
+	return fmt.Sprintf("0x%016x, 0x%016x, 0x%016x, 0x%016x, 0x%016x, 0x%016x",
+		p.trace, p.makespan, p.energy, p.mean, p.stddev, p.reports)
 }
