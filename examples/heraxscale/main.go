@@ -6,9 +6,11 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"respeed"
 	"respeed/internal/tablefmt"
@@ -54,7 +56,15 @@ func main() {
 		}
 	}
 	fmt.Printf("distinct optimal pairs across ρ ∈ [1.05, 9]: %d\n", len(winners))
-	for pair, rho := range winners {
-		fmt.Printf("  (%g, %g) first optimal at ρ ≈ %.3f\n", pair[0], pair[1], rho)
+	// In order of first-optimal ρ, ties by pair: map order varies by run.
+	pairs := make([][2]float64, 0, len(winners))
+	for pair := range winners {
+		pairs = append(pairs, pair)
+	}
+	slices.SortFunc(pairs, func(a, b [2]float64) int {
+		return cmp.Or(cmp.Compare(winners[a], winners[b]), slices.Compare(a[:], b[:]))
+	})
+	for _, pair := range pairs {
+		fmt.Printf("  (%g, %g) first optimal at ρ ≈ %.3f\n", pair[0], pair[1], winners[pair])
 	}
 }

@@ -97,6 +97,19 @@ func TestReplicateScenarioSimulateAllocBudget(t *testing.T) {
 	testScenarioAllocBudget(t, simulateShapeScenario(), 8, simulateAllocBudget)
 }
 
+// renewalAllocBudget bounds one 50-run replication call of the renewal
+// shape (the weibull-failstop composition): its fault process is reset
+// in place like the others, reseeding each channel's stream under its
+// cached name, so nothing is built per run. Measured at ~22 (~770 when
+// every run built its renewal process, channels and stream names); the
+// budget leaves headroom for scheduler noise while catching any return
+// to per-run construction (~15 allocations per run).
+const renewalAllocBudget = 48
+
+func TestReplicateScenarioRenewalAllocBudget(t *testing.T) {
+	testScenarioAllocBudget(t, renewalShapeScenario(), 50, renewalAllocBudget)
+}
+
 // testScenarioAllocBudget holds one warm n-run ReplicateScenario call of
 // sc to budget allocations and to scenarioByteBudget bytes allocated,
 // both averaged over ten calls at GOMAXPROCS=1 as testing.AllocsPerRun

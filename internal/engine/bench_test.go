@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"respeed/internal/faults"
 	"respeed/internal/rngx"
 	"respeed/internal/workload"
 )
@@ -101,6 +102,38 @@ func BenchmarkScenario(b *testing.B) {
 
 func BenchmarkReplicateScenario(b *testing.B) {
 	sc := testScenario()
+	// Warm the shared executor and scenario scratch pool (alloc-gated in
+	// CI smoke mode; see BenchmarkReplicatePatternParallel).
+	if _, err := ReplicateScenario(sc, 1, 50, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReplicateScenario(sc, uint64(i+1), 50, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// renewalShapeScenario is the weibull-failstop example spec's fault
+// composition on the test costs: exponential silent arrivals and
+// Weibull fail-stops on renewal channels, on a 64-cell heat kernel.
+func renewalShapeScenario() Scenario {
+	sc := testScenario()
+	sc.Costs.LambdaS = 0
+	sc.Renewal = &Renewal{
+		Silent:   &Arrivals{Dist: faults.Exponential{Rate: 2e-3}},
+		FailStop: &Arrivals{Dist: faults.Weibull{Shape: 0.7, Scale: 1500}},
+	}
+	sc.NewWorkload = func() *Runner { return FromWorkload(workload.NewHeat(64, 0.25)) }
+	return sc
+}
+
+// BenchmarkReplicateScenarioRenewal replicates the renewal shape 50
+// times: the pooled fan-out with a renewal process reset in place per
+// run.
+func BenchmarkReplicateScenarioRenewal(b *testing.B) {
+	sc := renewalShapeScenario()
 	// Warm the shared executor and scenario scratch pool (alloc-gated in
 	// CI smoke mode; see BenchmarkReplicatePatternParallel).
 	if _, err := ReplicateScenario(sc, 1, 50, 0); err != nil {

@@ -6,8 +6,9 @@
 //     platform process (AggregateFaults, the paper's model), N
 //     independent per-node Poisson processes whose earliest arrival
 //     decides each window (PerNodeFaults), or renewal processes over
-//     arbitrary inter-arrival laws (RenewalFaults). A process owns its
-//     draws and counts every strike it reports against the node it
+//     arbitrary inter-arrival laws, bursts and trace replay, built from
+//     a read-only Renewal description (RenewalFaults). A process owns
+//     its draws and counts every strike it reports against the node it
 //     struck, and it corrupts state through faults.Corrupt.
 //   - Tier decides where checkpoints go and what a rollback costs:
 //     SingleLevel (one verified store, the paper's C/R) or TwoLevel

@@ -182,8 +182,8 @@ func NewPerNodeFaults(nodes []Node, seed uint64, prefix string) (*PerNodeFaults,
 	return f, nil
 }
 
-// reset re-derives the process in place as NewPerNodeFaults(nodes,
-// seed, name.String()) would, reusing its streams and counters. nodes
+// reset re-derives the process in place as NewPerNodeFaults would with
+// name's materialized prefix, reusing its streams and counters. nodes
 // must already be valid.
 func (f *PerNodeFaults) reset(nodes []Node, seed uint64, name runName) {
 	f.nodes, f.clock = nodes, 0

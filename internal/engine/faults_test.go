@@ -300,13 +300,22 @@ func TestPerNodeFaultsResetMatchesNew(t *testing.T) {
 		UniformNodes(1, 0, 3e-2),
 		UniformNodes(6, 5e-3, 5e-3),
 	}
-	names := []runName{{base: "cluster", index: -1}, {base: "scenario", index: -1}, replication(0), replication(7), replication(1234)}
+	names := []struct {
+		run    runName
+		prefix string
+	}{
+		{runName{base: "cluster", index: -1}, "cluster"},
+		{runName{base: "scenario", index: -1}, "scenario"},
+		{replication(0), "scenario/0"},
+		{replication(7), "scenario/7"},
+		{replication(1234), "scenario/1234"},
+	}
 	var f PerNodeFaults
 	for _, seed := range []uint64{1, 99} {
 		for _, nodes := range lists {
 			for _, name := range names {
-				f.reset(nodes, seed, name)
-				want, err := NewPerNodeFaults(nodes, seed, name.String())
+				f.reset(nodes, seed, name.run)
+				want, err := NewPerNodeFaults(nodes, seed, name.prefix)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -319,7 +328,7 @@ func TestPerNodeFaultsResetMatchesNew(t *testing.T) {
 					t.Fatalf("corrupt stream %q, want %q", got, w)
 				}
 				if got, w := perNodeDraws(&f), perNodeDraws(want); !reflect.DeepEqual(got, w) {
-					t.Fatalf("seed %d, %d nodes, %q: reset process diverged from a new one", seed, len(nodes), name)
+					t.Fatalf("seed %d, %d nodes, %q: reset process diverged from a new one", seed, len(nodes), name.prefix)
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"testing"
+
 	"respeed/internal/detect"
 	"respeed/internal/rngx"
 )
@@ -14,12 +16,8 @@ import (
 func freshApp(sc Scenario, seed uint64, prefix string, sizes []float64) (*App, error) {
 	var fp FaultProcess
 	var sampledRNG interface{ Intn(int) int }
-	if sc.Faults != nil {
-		p, err := sc.Faults(seed, prefix)
-		if err != nil {
-			return nil, err
-		}
-		fp = p
+	if sc.Renewal != nil {
+		fp = freshRenewalFaults(sc.Renewal, seed, prefix)
 		sampledRNG = rngx.NewStream(seed, prefix+"/partial-positions")
 	} else if len(sc.Nodes) > 0 {
 		pn, err := NewPerNodeFaults(sc.Nodes, seed, prefix)
@@ -36,6 +34,24 @@ func freshApp(sc Scenario, seed uint64, prefix string, sizes []float64) (*App, e
 		sampledRNG = stream.Child("partial-positions")
 	}
 	return freshAppWith(sc, fp, sampledRNG, sizes)
+}
+
+// freshRenewalFaults builds a new process for one run of desc under the
+// streams of run prefix, materialized as one plain name.
+func freshRenewalFaults(desc *Renewal, seed uint64, prefix string) *RenewalFaults {
+	f := new(RenewalFaults)
+	f.reset(desc, seed, runName{base: prefix, index: -1})
+	return f
+}
+
+// newRenewalFaults is freshRenewalFaults for a description it first
+// validates.
+func newRenewalFaults(t testing.TB, desc *Renewal, seed uint64, prefix string) *RenewalFaults {
+	t.Helper()
+	if err := desc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return freshRenewalFaults(desc, seed, prefix)
 }
 
 // freshAppOn is RunOn's fresh construction: faults on the caller's

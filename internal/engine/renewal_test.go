@@ -1,6 +1,6 @@
-// Tests for the renewal fault process and the scenario Faults factory
-// hook: determinism, channel draw-order independence from outcomes,
-// burst attribution, and bit-exact chunked replication.
+// Tests for the renewal fault process and the scenario Renewal
+// description: validation, determinism, in-place resets, burst and
+// silent attribution, and bit-exact chunked replication.
 package engine
 
 import (
@@ -15,42 +15,40 @@ import (
 	"respeed/internal/workload"
 )
 
-// renewalConfig builds an aggregate Weibull silent + exponential
-// fail-stop configuration on (seed, prefix) streams.
-func renewalConfig(seed uint64, prefix string) RenewalConfig {
-	return RenewalConfig{
-		Silent: faults.NewRenewal(faults.Weibull{Shape: 0.7, Scale: 500},
-			rngx.NewStream(seed, prefix+"/renewal/silent")),
-		FailStop: []faults.ArrivalSource{faults.NewRenewal(faults.Exponential{Rate: 5e-4},
-			rngx.NewStream(seed, prefix+"/renewal/failstop-0"))},
-		RNG: rngx.NewStream(seed, prefix+"/renewal/aux"),
+// weibullRenewal is an aggregate Weibull silent + exponential
+// fail-stop composition.
+func weibullRenewal() *Renewal {
+	return &Renewal{
+		Silent:   &Arrivals{Dist: faults.Weibull{Shape: 0.7, Scale: 500}},
+		FailStop: &Arrivals{Dist: faults.Exponential{Rate: 5e-4}},
 	}
 }
 
-func TestRenewalConfigValidate(t *testing.T) {
+func TestRenewalValidate(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*RenewalConfig)
+		mutate func(*Renewal)
 		want   string // error substring; "" = valid
 	}{
-		{"base is valid", func(c *RenewalConfig) {}, ""},
-		{"no rng", func(c *RenewalConfig) { c.RNG = nil }, "needs an RNG"},
-		{"negative nodes", func(c *RenewalConfig) { c.Nodes = -1 }, "must be ≥ 0"},
-		{"channel count mismatch", func(c *RenewalConfig) { c.Nodes = 4 }, "fail-stop channels"},
-		{"burst needs nodes", func(c *RenewalConfig) {
-			c.Burst = c.FailStop[0]
-		}, "need ≥ 2 nodes"},
-		{"bad spread", func(c *RenewalConfig) {
-			c.Nodes = 2
-			c.FailStop = append(c.FailStop, c.FailStop[0])
-			c.Burst = c.FailStop[0]
-			c.BurstSpread = 1.5
+		{"base is valid", func(r *Renewal) {}, ""},
+		{"trace replay is valid", func(r *Renewal) { r.Silent = &Arrivals{Times: []float64{5, 5, 9}} }, ""},
+		{"negative nodes", func(r *Renewal) { r.Nodes = -1 }, "must be ≥ 0"},
+		{"invalid dist", func(r *Renewal) {
+			r.FailStop = &Arrivals{Dist: faults.Exponential{Rate: -1}}
+		}, "fail-stop channel: faults: exponential rate"},
+		{"dist and times", func(r *Renewal) { r.Silent.Times = []float64{1} }, "both a distribution and trace times"},
+		{"unordered times", func(r *Renewal) { r.Silent = &Arrivals{Times: []float64{2, 1}} }, "non-decreasing"},
+		{"burst needs nodes", func(r *Renewal) { r.Burst = r.FailStop }, "need ≥ 2 nodes"},
+		{"bad spread", func(r *Renewal) {
+			r.Nodes = 2
+			r.Burst = r.FailStop
+			r.BurstSpread = 1.5
 		}, "spread must be in"},
 	}
 	for _, c := range cases {
-		cfg := renewalConfig(1, "t")
-		c.mutate(&cfg)
-		err := cfg.Validate()
+		r := weibullRenewal()
+		c.mutate(r)
+		err := r.Validate()
 		if c.want == "" && err != nil {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 		}
@@ -62,10 +60,7 @@ func TestRenewalConfigValidate(t *testing.T) {
 
 func TestRenewalFaultsDeterminism(t *testing.T) {
 	sample := func() []Outcome {
-		f, err := NewRenewalFaults(renewalConfig(42, "det"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := newRenewalFaults(t, weibullRenewal(), 42, "det")
 		var outs []Outcome
 		for i := 0; i < 200; i++ {
 			outs = append(outs, f.SampleWindow(0, 60, 52))
@@ -77,6 +72,82 @@ func TestRenewalFaultsDeterminism(t *testing.T) {
 	}
 }
 
+// renewalDraws samples one process over mixed windows and records
+// everything a run observes: outcomes, fail-stop-only and silent-only
+// samples, a corruption and the per-node counts.
+func renewalDraws(f *RenewalFaults) []any {
+	var out []any
+	for i := 0; i < 40; i++ {
+		out = append(out, f.SampleWindow(0, 120, 100))
+		at, hit := f.SampleFailStop(0, 30)
+		out = append(out, at, hit, f.SampleSilent(25))
+	}
+	state := make([]byte, 64)
+	f.Corrupt(state)
+	return append(out, state, f.PerNodeErrors())
+}
+
+// TestRenewalFaultsResetInPlace re-arms one process across descriptions
+// (aggregate and per-node, growing and shrinking node counts, renewal
+// and replay channels, with and without bursts), run names and seeds,
+// and requires the draws of a process built fresh for each run: a
+// channel or count a reset missed leaks into the next run.
+func TestRenewalFaultsResetInPlace(t *testing.T) {
+	trace := []float64{10, 40, 40, 300, 900}
+	descs := []*Renewal{
+		weibullRenewal(),
+		{
+			Silent:      &Arrivals{Dist: faults.LogNormal{Mu: 4, Sigma: 1.2}},
+			FailStop:    &Arrivals{Dist: faults.Exponential{Rate: 1e-2}},
+			Burst:       &Arrivals{Dist: faults.Weibull{Shape: 0.8, Scale: 200}},
+			BurstSpread: 0.5,
+			Nodes:       6,
+		},
+		{Silent: &Arrivals{Times: trace}, FailStop: &Arrivals{Times: trace}},
+		{FailStop: &Arrivals{Dist: faults.Weibull{Shape: 0.7, Scale: 150}}, Burst: &Arrivals{Times: trace}, Nodes: 2},
+		{Silent: &Arrivals{Dist: faults.Exponential{Rate: 2e-2}}, Nodes: 3},
+	}
+	names := []struct {
+		run    runName
+		prefix string
+	}{
+		{runName{base: "scenario", index: -1}, "scenario"},
+		{replication(0), "scenario/0"},
+		{replication(1234), "scenario/1234"},
+	}
+	var f RenewalFaults
+	for _, seed := range []uint64{1, 99} {
+		for _, desc := range descs {
+			for _, name := range names {
+				f.reset(desc, seed, name.run)
+				want := newRenewalFaults(t, desc, seed, name.prefix)
+				if got, w := renewalDraws(&f), renewalDraws(want); !reflect.DeepEqual(got, w) {
+					t.Fatalf("seed %d, %d nodes, %s: reset process diverged from a fresh one", seed, desc.Nodes, name.prefix)
+				}
+			}
+		}
+	}
+	f.release()
+	if renewalBorrows(&f) {
+		t.Fatal("release kept what the last description lent")
+	}
+}
+
+// renewalBorrows reports whether f holds anything a description lent
+// it: the description itself, or a channel (and with it a Dist or trace
+// Times), fail-stop channels past the last run's count included.
+func renewalBorrows(f *RenewalFaults) bool {
+	if f.desc != nil || !reflect.ValueOf(f.silent).IsZero() || !reflect.ValueOf(f.burst).IsZero() {
+		return true
+	}
+	for _, ch := range f.failStop[:cap(f.failStop)] {
+		if !reflect.ValueOf(ch).IsZero() {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRenewalFaultsExponentialBehaves sanity-checks strike frequency:
 // over many windows the fail-stop hit rate must approximate
 // 1 − exp(−λ·span) for the exponential channel.
@@ -86,14 +157,7 @@ func TestRenewalFaultsExponentialBehaves(t *testing.T) {
 		rate    = 5e-4
 		windows = 200_000
 	)
-	f, err := NewRenewalFaults(RenewalConfig{
-		FailStop: []faults.ArrivalSource{faults.NewRenewal(faults.Exponential{Rate: rate},
-			rngx.NewStream(3, "freq/fail"))},
-		RNG: rngx.NewStream(3, "freq/aux"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newRenewalFaults(t, &Renewal{FailStop: &Arrivals{Dist: faults.Exponential{Rate: rate}}}, 3, "freq")
 	hits := 0
 	for i := 0; i < windows; i++ {
 		if out := f.SampleWindow(0, span, span); out.FailStop {
@@ -116,23 +180,12 @@ func TestRenewalFaultsExponentialBehaves(t *testing.T) {
 func TestRenewalBurstAttribution(t *testing.T) {
 	const nodes = 4
 	build := func(spread float64) *RenewalFaults {
-		chans := make([]faults.ArrivalSource, nodes)
-		for i := range chans {
-			chans[i] = faults.NewRenewal(faults.Exponential{Rate: 1e-9},
-				rngx.NewStreamIndexed(9, "burst/fail-", i))
-		}
-		f, err := NewRenewalFaults(RenewalConfig{
-			FailStop: chans,
-			Burst: faults.NewRenewal(faults.Exponential{Rate: 1e-2},
-				rngx.NewStream(9, "burst/burst")),
+		return newRenewalFaults(t, &Renewal{
+			FailStop:    &Arrivals{Dist: faults.Exponential{Rate: 1e-9}},
+			Burst:       &Arrivals{Dist: faults.Exponential{Rate: 1e-2}},
 			BurstSpread: spread,
 			Nodes:       nodes,
-			RNG:         rngx.NewStream(9, "burst/aux"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+		}, 9, "burst")
 	}
 	// sample runs 10k windows and returns, per burst, the nodes it
 	// felled (the per-node counts that window added).
@@ -182,27 +235,17 @@ func TestRenewalBurstAttribution(t *testing.T) {
 }
 
 // TestRenewalSilentVictimOnlyWhenReported pins the victim draw of a
-// per-node silent strike: it comes from the RNG stream only on windows
+// per-node silent strike: it comes from the aux stream only on windows
 // that report the strike, never on windows a fail-stop preempted.
 func TestRenewalSilentVictimOnlyWhenReported(t *testing.T) {
 	const nodes = 3
 	build := func(failRate float64) (*RenewalFaults, *rngx.Stream) {
-		chans := make([]faults.ArrivalSource, nodes)
-		for i := range chans {
-			chans[i] = faults.NewRenewal(faults.Exponential{Rate: failRate},
-				rngx.NewStreamIndexed(4, "victim/fail-", i))
-		}
-		f, err := NewRenewalFaults(RenewalConfig{
-			Silent: faults.NewRenewal(faults.Exponential{Rate: 10},
-				rngx.NewStream(4, "victim/silent")),
-			FailStop: chans,
+		f := newRenewalFaults(t, &Renewal{
+			Silent:   &Arrivals{Dist: faults.Exponential{Rate: 10}},
+			FailStop: &Arrivals{Dist: faults.Exponential{Rate: failRate}},
 			Nodes:    nodes,
-			RNG:      rngx.NewStream(4, "victim/aux"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f, rngx.NewStream(4, "victim/aux")
+		}, 4, "victim")
+		return f, rngx.NewStream(4, "victim/renewal/aux")
 	}
 
 	// Every window holds both strikes; the fail-stop preempts the
@@ -213,7 +256,7 @@ func TestRenewalSilentVictimOnlyWhenReported(t *testing.T) {
 			t.Fatalf("window %d: want a fail-stop preempting the silent strike, got %+v", w, out)
 		}
 	}
-	if got, want := f.cfg.RNG.Uint64(), aux.Uint64(); got != want {
+	if got, want := f.aux.Uint64(), aux.Uint64(); got != want {
 		t.Error("a preempted silent strike drew a victim")
 	}
 
@@ -232,18 +275,16 @@ func TestRenewalSilentVictimOnlyWhenReported(t *testing.T) {
 	}
 }
 
-// weibullScenario is a scenario only the factory hook can express:
+// weibullScenario is a scenario only a renewal process can express:
 // Weibull silent arrivals with an exponential fail-stop channel.
 func weibullScenario() Scenario {
 	sc := testScenario()
 	sc.Costs.LambdaS = 0
-	sc.Faults = func(seed uint64, prefix string) (FaultProcess, error) {
-		return NewRenewalFaults(renewalConfig(seed, prefix))
-	}
+	sc.Renewal = weibullRenewal()
 	return sc
 }
 
-func TestScenarioFaultFactory(t *testing.T) {
+func TestScenarioRenewal(t *testing.T) {
 	sc := weibullScenario()
 	rep1, err := sc.Run(7)
 	if err != nil {
@@ -254,29 +295,34 @@ func TestScenarioFaultFactory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep1.Makespan != rep2.Makespan || rep1.Energy != rep2.Energy {
-		t.Fatal("factory scenario must be deterministic in the seed")
+		t.Fatal("renewal scenario must be deterministic in the seed")
 	}
 	if rep1.FinalProgress != sc.TotalWork {
 		t.Errorf("final progress %g, want %g", rep1.FinalProgress, sc.TotalWork)
 	}
 }
 
-func TestScenarioFactoryValidation(t *testing.T) {
+func TestScenarioRenewalValidation(t *testing.T) {
 	sc := weibullScenario()
 	sc.Costs.LambdaS = 2e-3
-	if _, err := sc.Run(1); err == nil || !strings.Contains(err.Error(), "Faults factory") {
-		t.Errorf("rates + factory must be rejected, got %v", err)
+	if _, err := sc.Run(1); err == nil || !strings.Contains(err.Error(), "Renewal channels") {
+		t.Errorf("rates + renewal must be rejected, got %v", err)
 	}
 	sc = weibullScenario()
 	sc.Nodes = UniformNodes(4, 2e-3, 0)
 	if _, err := sc.Run(1); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("nodes + factory must be rejected, got %v", err)
+		t.Errorf("nodes + renewal must be rejected, got %v", err)
+	}
+	sc = weibullScenario()
+	sc.Renewal.Burst = sc.Renewal.FailStop
+	if _, err := ReplicateScenario(sc, 1, 4, 0); err == nil || !strings.Contains(err.Error(), "need ≥ 2 nodes") {
+		t.Errorf("an invalid renewal description must be rejected, got %v", err)
 	}
 }
 
 // TestReplicateScenarioChunkBitExact proves the exported chunk API
 // reassembles ReplicateScenario's estimate bit-for-bit, for both a
-// legacy aggregate scenario and a factory-driven one.
+// legacy aggregate scenario and a renewal one.
 func TestReplicateScenarioChunkBitExact(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -318,19 +364,10 @@ func TestRenewalPerNodeErrorsViaInterface(t *testing.T) {
 	const nodes = 2
 	sc := testScenario()
 	sc.Costs.LambdaS = 0
-	sc.Faults = func(seed uint64, prefix string) (FaultProcess, error) {
-		chans := make([]faults.ArrivalSource, nodes)
-		for i := range chans {
-			chans[i] = faults.NewRenewal(faults.Exponential{Rate: 2e-3},
-				rngx.NewStreamIndexed(seed, prefix+"/renewal/failstop-", i))
-		}
-		return NewRenewalFaults(RenewalConfig{
-			Silent: faults.NewRenewal(faults.Exponential{Rate: 2e-3},
-				rngx.NewStream(seed, prefix+"/renewal/silent")),
-			FailStop: chans,
-			Nodes:    nodes,
-			RNG:      rngx.NewStream(seed, prefix+"/renewal/aux"),
-		})
+	sc.Renewal = &Renewal{
+		Silent:   &Arrivals{Dist: faults.Exponential{Rate: 2e-3}},
+		FailStop: &Arrivals{Dist: faults.Exponential{Rate: 2e-3}},
+		Nodes:    nodes,
 	}
 	sc.NewWorkload = func() *Runner { return FromWorkload(workload.NewStream(7, 64)) }
 	rep, err := sc.Run(5)

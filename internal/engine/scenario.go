@@ -13,10 +13,10 @@ import (
 // Scenario composes the engine's policies into one declarative
 // configuration — the scenario space the four original siloed
 // simulators could not express. Any combination of a fault process
-// (aggregate rates or explicit per-node processes), a checkpoint tier
-// (single-level or memory+disk), and a verification discipline
-// (guaranteed, partial+guaranteed, or none) runs through the same
-// full-stack executor, e.g.:
+// (aggregate rates, explicit per-node processes, or renewal channels),
+// a checkpoint tier (single-level or memory+disk), and a verification
+// discipline (guaranteed, partial+guaranteed, or none) runs through the
+// same full-stack executor, e.g.:
 //
 //   - multi-node cluster + two-level checkpointing: Nodes + TwoLevel
 //   - partial verification + fail-stop errors: Partial + Costs.LambdaF
@@ -37,13 +37,13 @@ type Scenario struct {
 	// Nodes, when non-empty, replaces the aggregate fault process with
 	// independent per-node Poisson processes.
 	Nodes []Node
-	// Faults, when non-nil, replaces both built-in fault constructions
-	// with a custom process factory (e.g. renewal channels over Weibull
-	// or log-normal inter-arrivals, or trace replay). Mutually exclusive
-	// with Nodes and with non-zero Costs.LambdaS/LambdaF. The factory is
-	// invoked once per run with the run's seed material and must return
-	// a process deterministic in (seed, prefix).
-	Faults FaultFactory
+	// Renewal, when non-nil, replaces the aggregate fault process with
+	// windowed arrival channels (e.g. Weibull or log-normal
+	// inter-arrivals, correlated bursts, or trace replay), built in
+	// place for every run from this shared, read-only description.
+	// Mutually exclusive with Nodes and with non-zero
+	// Costs.LambdaS/LambdaF.
+	Renewal *Renewal
 	// TwoLevel, when non-nil, replaces the single-level checkpoint
 	// store with the memory+disk tier.
 	TwoLevel *TwoLevelSpec
@@ -83,12 +83,15 @@ func (sc Scenario) Validate() error {
 			return err
 		}
 	}
-	if sc.Faults != nil {
+	if sc.Renewal != nil {
 		if len(sc.Nodes) > 0 {
-			return fmt.Errorf("engine: Faults factory and Nodes are mutually exclusive")
+			return fmt.Errorf("engine: Renewal and Nodes are mutually exclusive")
 		}
 		if sc.Costs.LambdaS != 0 || sc.Costs.LambdaF != 0 {
-			return fmt.Errorf("engine: error rates belong to the Faults factory, not Costs")
+			return fmt.Errorf("engine: error rates belong to the Renewal channels, not Costs")
+		}
+		if err := sc.Renewal.Validate(); err != nil {
+			return err
 		}
 	}
 	if sc.TwoLevel != nil {
@@ -114,11 +117,6 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// FaultFactory builds a custom fault process for one run. All
-// randomness must derive from (seed, prefix) so replications stay
-// deterministic and worker-independent.
-type FaultFactory func(seed uint64, prefix string) (FaultProcess, error)
-
 // Run executes the scenario once. All randomness derives from seed, so
 // runs are reproducible: the run draws from the streams "scenario/…".
 func (sc Scenario) Run(seed uint64) (Report, error) {
@@ -132,14 +130,14 @@ func (sc Scenario) Run(seed uint64) (Report, error) {
 // callers that pin their own stream names: faults draw from rng, and
 // partial-verification positions from rng.Child("partial-positions").
 // Only the aggregate rates of Costs can draw from one stream, so
-// per-node (Nodes) and factory (Faults) fault processes are rejected.
+// per-node (Nodes) and renewal (Renewal) fault processes are rejected.
 // It panics on a nil stream.
 func (sc Scenario) RunOn(rng *rngx.Stream) (Report, error) {
 	if err := sc.Validate(); err != nil {
 		return Report{}, err
 	}
-	if len(sc.Nodes) > 0 || sc.Faults != nil {
-		return Report{}, fmt.Errorf("engine: RunOn takes aggregate fault rates only, not Nodes or a Faults factory")
+	if len(sc.Nodes) > 0 || sc.Renewal != nil {
+		return Report{}, fmt.Errorf("engine: RunOn takes aggregate fault rates only, not Nodes or Renewal")
 	}
 	if rng == nil {
 		panic("engine: nil rng stream")

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"respeed/internal/detect"
@@ -16,11 +15,12 @@ import (
 // its runs, including the clean reference trajectory every run verifies
 // against), take a scratch of per-run pieces from a sync.Pool, and reset
 // each component in place to the exact state a fresh construction would
-// have. Building the whole App fresh per run — workload pair, fault
-// process, checkpoint tier, meter, verifier — costs ~2.4k allocations
-// per 50-run estimate. The executions are bit-identical to that fresh
-// construction, which the tests keep as their reference and replay
-// against the pooled runs, reports compared byte for byte.
+// have: every fault process, renewal channels included, reseeds its
+// streams in place. Building the whole App fresh per run — workload
+// pair, fault process, checkpoint tier, meter, verifier — costs ~2.4k
+// allocations per 50-run estimate. The executions are bit-identical to
+// that fresh construction, which the tests keep as their reference and
+// replay against the pooled runs, reports compared byte for byte.
 
 // scenarioCampaign is the per-call shared context of a pooled scenario
 // replication: the validated scenario (trace hooks already cleared),
@@ -106,6 +106,7 @@ type scenarioScratch struct {
 	sampledRNG rngx.Stream
 	agg        AggregateFaults
 	perNode    PerNodeFaults
+	renewal    RenewalFaults
 	meter      energy.Meter
 	rec        MeterRecorder
 	verifier   detect.Verifier
@@ -139,11 +140,13 @@ func getScratch(c *scenarioCampaign) *scenarioScratch {
 
 // putScratch returns s to the pool without what its last run borrowed
 // from the caller: the trace recorder and sink, RunOn's stream, the
-// node list, the fault factory's process and the campaign's reference.
+// node list, the renewal description with its distributions and trace
+// times, and the campaign's reference.
 func putScratch(s *scenarioScratch) {
 	s.app = App{corruptBuf: s.app.corruptBuf}
 	s.agg.rng = nil
 	s.perNode.nodes = nil
+	s.renewal.release()
 	scenarioScratchPool.Put(s)
 }
 
@@ -181,16 +184,9 @@ type runName struct {
 // replication names replication i of a campaign: "scenario/<i>/…".
 func replication(i int) runName { return runName{base: "scenario/", index: i} }
 
-// String materializes the name, for fault factories.
-func (n runName) String() string {
-	if n.index < 0 {
-		return n.base
-	}
-	return n.base + strconv.Itoa(n.index)
-}
-
-// reseed derives st in place as rngx.NewStream(seed, n.String()+suffix)
-// would; an indexed name is hashed from its parts, never built.
+// reseed derives st in place as rngx.NewStream(seed, name+suffix) would
+// for the materialized name; an indexed name is hashed from its parts,
+// never built, so no fault process builds a string per replication.
 func (n runName) reseed(st *rngx.Stream, seed uint64, suffix string) {
 	if n.index < 0 {
 		st.Reseed(seed, n.base+suffix)
@@ -209,12 +205,9 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, name runName
 	var fp FaultProcess
 	positions := "/partial-positions"
 	switch {
-	case sc.Faults != nil:
-		p, err := sc.Faults(seed, name.String())
-		if err != nil {
-			return Report{}, err
-		}
-		fp = p
+	case sc.Renewal != nil:
+		s.renewal.reset(sc.Renewal, seed, name)
+		fp = &s.renewal
 	case len(sc.Nodes) > 0:
 		s.perNode.reset(sc.Nodes, seed, name)
 		fp = &s.perNode

@@ -22,9 +22,9 @@ import (
 // between consecutive runs.
 
 // scenarioPoolCases covers every policy combination runOnce dispatches
-// on: the aggregate fast path, both fault channels, the faults-factory
-// and per-node paths, two-level tiers, partial verification and
-// skipped verification.
+// on: the aggregate fast path, both fault channels, the renewal and
+// per-node paths, two-level tiers, partial verification and skipped
+// verification. The renewal case keeps its historical label.
 func scenarioPoolCases() []struct {
 	name string
 	sc   Scenario
@@ -45,15 +45,7 @@ func scenarioPoolCases() []struct {
 
 	renewal := base
 	renewal.Costs.LambdaS = 0
-	renewal.Faults = func(seed uint64, prefix string) (FaultProcess, error) {
-		return NewRenewalFaults(RenewalConfig{
-			Silent: faults.NewRenewal(faults.Weibull{Shape: 0.7, Scale: 500},
-				rngx.NewStream(seed, prefix+"/renewal/silent")),
-			FailStop: []faults.ArrivalSource{faults.NewRenewal(faults.Exponential{Rate: 5e-4},
-				rngx.NewStream(seed, prefix+"/renewal/failstop-0"))},
-			RNG: rngx.NewStream(seed, prefix+"/renewal/aux"),
-		})
-	}
+	renewal.Renewal = weibullRenewal()
 
 	skip := base
 	skip.SkipVerification = true
@@ -257,7 +249,7 @@ func TestSingleRunsMatchFreshApp(t *testing.T) {
 					t.Fatalf("Run(%d) diverged from a fresh App:\n got %+v\nwant %+v", seed, got.rep, want.rep)
 				}
 
-				if len(tc.sc.Nodes) > 0 || tc.sc.Faults != nil {
+				if len(tc.sc.Nodes) > 0 || tc.sc.Renewal != nil {
 					continue // RunOn takes aggregate rates only
 				}
 				name := fmt.Sprintf("run-on/%d", seed)
@@ -311,5 +303,32 @@ func TestPutScratchDropsCallerHooks(t *testing.T) {
 	if s.app.cfg.Trace != nil || s.app.cfg.Obs.TraceSink != nil ||
 		s.app.ref != nil || s.agg.rng != nil {
 		t.Fatalf("pooled scratch kept caller state: %+v", s.app.cfg)
+	}
+
+	// A renewal campaign lends the scratch's fault process its
+	// description, distributions and trace times.
+	rc := testScenario()
+	rc.Costs.LambdaS = 0
+	rc.Renewal = &Renewal{
+		Silent:   &Arrivals{Times: []float64{30, 400}},
+		FailStop: &Arrivals{Dist: faults.Weibull{Shape: 0.7, Scale: 1500}},
+		Burst:    &Arrivals{Dist: faults.Exponential{Rate: 1e-3}},
+		Nodes:    3,
+	}
+	c, err = newScenarioCampaign(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release()
+	s = getScratch(c)
+	if _, err := s.runOnce(c, 1, replication(0)); err != nil {
+		t.Fatal(err)
+	}
+	if !renewalBorrows(&s.renewal) {
+		t.Fatal("the renewal run borrowed nothing, so the check below proves nothing")
+	}
+	putScratch(s)
+	if renewalBorrows(&s.renewal) {
+		t.Fatal("pooled scratch kept a Dist or trace Times of the campaign's renewal description")
 	}
 }

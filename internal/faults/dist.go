@@ -9,15 +9,20 @@ import (
 
 // This file extends the fault substrate past the paper's exponential
 // inter-arrival model. A Dist samples inter-arrival delays from a
-// parametric family (exponential, Weibull, log-normal); an
-// ArrivalSource turns delays into a windowed arrival channel the
-// engine's attempt loop can consume. Two sources exist:
+// parametric family (exponential, Weibull, log-normal); two sources
+// turn arrivals into a windowed channel the engine's attempt loop can
+// consume, both reset in place between executions:
 //
 //   - Renewal: a renewal process over a Dist, with pending-arrival
 //     carry-over across windows (the non-memoryless generalization of
 //     the Poisson process);
 //   - Schedule: deterministic replay of a recorded arrival-time list
 //     (e.g. a CSV failure log read by trace.ReadFaultCSV).
+//
+// Within(span) exposes a source for span seconds and reports the first
+// strike, if any, at its offset into the window. Sources are stateful
+// and not safe for concurrent use; one source serves one simulated
+// execution at a time.
 //
 // Determinism contract: every source is a pure function of its inputs
 // (dist parameters, stream seed material, or the recorded times) and
@@ -33,8 +38,6 @@ type Dist interface {
 	Sample(rng *rngx.Stream) float64
 	// Validate rejects nonsensical parameters.
 	Validate() error
-	// String names the distribution with its parameters.
-	String() string
 }
 
 // Exponential is the paper's memoryless inter-arrival model with the
@@ -53,8 +56,6 @@ func (d Exponential) Validate() error {
 	}
 	return nil
 }
-
-func (d Exponential) String() string { return fmt.Sprintf("exponential(rate=%g)", d.Rate) }
 
 // Weibull has inter-arrival delays Scale·E^(1/Shape) for E ~ Exp(1).
 // Shape < 1 models infant-mortality failure clustering (a common fit
@@ -83,10 +84,6 @@ func (d Weibull) Validate() error {
 	return nil
 }
 
-func (d Weibull) String() string {
-	return fmt.Sprintf("weibull(shape=%g, scale=%g)", d.Shape, d.Scale)
-}
-
 // LogNormal has log-delays distributed N(Mu, Sigma²) — heavy-tailed
 // repair/arrival behavior.
 type LogNormal struct {
@@ -111,18 +108,6 @@ func (d LogNormal) Validate() error {
 	return nil
 }
 
-func (d LogNormal) String() string {
-	return fmt.Sprintf("lognormal(mu=%g, sigma=%g)", d.Mu, d.Sigma)
-}
-
-// ArrivalSource is one windowed arrival channel: Within exposes the
-// channel for span seconds and reports the first strike, if any, at
-// its offset into the window. Sources are stateful and not safe for
-// concurrent use; one source serves one simulated execution.
-type ArrivalSource interface {
-	Within(span float64) (at float64, hit bool)
-}
-
 // Renewal is a renewal arrival process over a Dist: the delay to the
 // next arrival is drawn once and carried over across windows until it
 // strikes, then redrawn from the strike instant. With an Exponential
@@ -136,23 +121,20 @@ type Renewal struct {
 	primed  bool
 }
 
-// NewRenewal builds the process; the first inter-arrival is drawn
-// lazily on the first Within call. It panics on an invalid dist or nil
-// stream (programming errors).
-func NewRenewal(dist Dist, rng *rngx.Stream) *Renewal {
-	if dist == nil {
-		panic("faults: nil dist")
+// Reset arms the process in place over dist and rng, as a fresh process
+// starts: the first inter-arrival is drawn lazily on the first Within
+// call, so a process reset on a stream of the same seed material
+// replays the same arrivals. dist must be valid (its Validate passed);
+// Reset panics on a nil dist or stream.
+func (r *Renewal) Reset(dist Dist, rng *rngx.Stream) {
+	if dist == nil || rng == nil {
+		panic("faults: renewal needs a dist and a stream")
 	}
-	if err := dist.Validate(); err != nil {
-		panic(err)
-	}
-	if rng == nil {
-		panic("faults: nil rng stream")
-	}
-	return &Renewal{dist: dist, rng: rng}
+	*r = Renewal{dist: dist, rng: rng}
 }
 
-// Within implements ArrivalSource.
+// Within exposes the process for span seconds and reports the first
+// strike, if any, at its offset into the window.
 func (r *Renewal) Within(span float64) (float64, bool) {
 	if !r.primed {
 		r.pending = r.dist.Sample(r.rng)
@@ -180,14 +162,11 @@ type Schedule struct {
 	idx   int
 }
 
-// NewSchedule builds a replay source over times, which must be finite,
-// non-negative and non-decreasing. The slice is not copied; callers
-// must not mutate it afterwards.
-func NewSchedule(times []float64) (*Schedule, error) {
-	if err := ValidateArrivalTimes(times); err != nil {
-		return nil, err
-	}
-	return &Schedule{times: times}, nil
+// Reset rewinds the replay in place to the start of times, which must
+// pass ValidateArrivalTimes. The slice is read, never copied or
+// written, so many schedules may share one.
+func (s *Schedule) Reset(times []float64) {
+	*s = Schedule{times: times}
 }
 
 // ValidateArrivalTimes checks a replay time list: finite, non-negative,
@@ -204,8 +183,9 @@ func ValidateArrivalTimes(times []float64) error {
 	return nil
 }
 
-// Within implements ArrivalSource: the exposure clock advances by span
-// (no strike) or to the strike's recorded time (strike).
+// Within exposes the replay for span seconds and reports the first
+// recorded arrival inside the window, if any, at its offset: the clock
+// advances by span (no strike) or to the strike's recorded time.
 func (s *Schedule) Within(span float64) (float64, bool) {
 	if span <= 0 {
 		return 0, false

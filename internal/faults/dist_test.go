@@ -117,7 +117,8 @@ func TestLogNormalMean(t *testing.T) {
 // offset once a window reaches it.
 func TestRenewalCarryOver(t *testing.T) {
 	// fixedDist returns a constant delay, making the arithmetic exact.
-	r := NewRenewal(fixedDist(100), rngx.NewStream(1, "carry"))
+	var r Renewal
+	r.Reset(fixedDist(100), rngx.NewStream(1, "carry"))
 	if _, hit := r.Within(30); hit {
 		t.Fatal("arrival at 100 must not strike a [0,30) window")
 	}
@@ -144,11 +145,11 @@ type fixedDist float64
 
 func (d fixedDist) Sample(*rngx.Stream) float64 { return float64(d) }
 func (d fixedDist) Validate() error             { return nil }
-func (d fixedDist) String() string              { return "fixed" }
 
 // TestRenewalZeroSpan: zero and negative spans consume nothing.
 func TestRenewalZeroSpan(t *testing.T) {
-	r := NewRenewal(fixedDist(10), rngx.NewStream(1, "zero"))
+	var r Renewal
+	r.Reset(fixedDist(10), rngx.NewStream(1, "zero"))
 	for i := 0; i < 5; i++ {
 		if _, hit := r.Within(0); hit {
 			t.Fatal("zero span must not strike")
@@ -160,9 +161,9 @@ func TestRenewalZeroSpan(t *testing.T) {
 	}
 }
 
-// TestRenewalReplay pins that a renewal process rebuilt on a fresh
-// stream of the same seed replays the same arrivals, zero spans
-// included: rebuilding is how a renewal process is rewound.
+// TestRenewalReplay pins that a renewal process reset in place on a
+// stream reseeded with the same seed material replays the arrivals of a
+// fresh one, zero spans included: resetting is how a run rewinds it.
 func TestRenewalReplay(t *testing.T) {
 	dist := Weibull{Shape: 0.7, Scale: 500}
 	spans := []float64{120, 45, 300, 0, 80, 600}
@@ -180,8 +181,13 @@ func TestRenewalReplay(t *testing.T) {
 		return out
 	}
 
-	first := sample(NewRenewal(dist, rngx.NewStream(7, "reset")))
-	second := sample(NewRenewal(dist, rngx.NewStream(7, "reset")))
+	var r Renewal
+	rng := rngx.NewStream(7, "reset")
+	r.Reset(dist, rng)
+	first := sample(&r)
+	rng.Reseed(7, "reset")
+	r.Reset(dist, rng)
+	second := sample(&r)
 	hits := 0
 	for i := range first {
 		a, b := first[i], second[i]
@@ -201,10 +207,9 @@ func TestRenewalReplay(t *testing.T) {
 // offsets, in order, exactly once, and the clock only advances with
 // exposure.
 func TestScheduleReplay(t *testing.T) {
-	s, err := NewSchedule([]float64{50, 120, 120.5, 400})
-	if err != nil {
-		t.Fatal(err)
-	}
+	times := []float64{50, 120, 120.5, 400}
+	var s Schedule
+	s.Reset(times)
 	at, hit := s.Within(100) // clock [0,100): strikes 50
 	if !hit || at != 50 {
 		t.Fatalf("want strike at 50, got (%g, %v)", at, hit)
@@ -236,6 +241,11 @@ func TestScheduleReplay(t *testing.T) {
 	if _, hit := s.Within(1e9); hit {
 		t.Fatal("exhausted schedule must not strike")
 	}
+	// A reset rewinds the replay to the first recorded arrival.
+	s.Reset(times)
+	if at, hit := s.Within(100); !hit || at != 50 || s.Remaining() != 3 {
+		t.Fatalf("after reset: (%g, %v) with %d remaining, want a strike at 50 and 3 remaining", at, hit, s.Remaining())
+	}
 }
 
 // TestScheduleValidation rejects malformed time lists.
@@ -247,16 +257,16 @@ func TestScheduleValidation(t *testing.T) {
 		{10, 5},
 	}
 	for _, times := range bad {
-		if _, err := NewSchedule(times); err == nil {
+		if err := ValidateArrivalTimes(times); err == nil {
 			t.Errorf("times %v: expected an error", times)
 		}
 	}
-	if _, err := NewSchedule(nil); err != nil {
+	if err := ValidateArrivalTimes(nil); err != nil {
 		t.Errorf("empty schedule must be valid (a channel with no arrivals): %v", err)
 	}
 	// Equal adjacent times are allowed (two faults in the same instant
 	// of a recorded log).
-	if _, err := NewSchedule([]float64{5, 5}); err != nil {
+	if err := ValidateArrivalTimes([]float64{5, 5}); err != nil {
 		t.Errorf("equal adjacent times must be valid: %v", err)
 	}
 }

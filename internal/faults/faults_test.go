@@ -78,14 +78,13 @@ func TestCorruptEmptyStatePanics(t *testing.T) {
 	Corrupt(newStream(), nil)
 }
 
-// TestNewRejectsBadArgs pins the constructors' argument checks: a
-// renewal process needs a valid dist and a stream, a replay schedule
-// ordered, finite, non-negative times.
-func TestNewRejectsBadArgs(t *testing.T) {
+// TestResetRejectsBadArgs pins Renewal.Reset's argument checks: a
+// renewal process needs a dist and a stream. (A replay schedule's times
+// are checked by ValidateArrivalTimes; see TestScheduleValidation.)
+func TestResetRejectsBadArgs(t *testing.T) {
 	for name, f := range map[string]func(){
-		"nil dist":     func() { NewRenewal(nil, newStream()) },
-		"invalid dist": func() { NewRenewal(Exponential{Rate: -1}, newStream()) },
-		"nil rng":      func() { NewRenewal(Exponential{Rate: 1}, nil) },
+		"nil dist": func() { new(Renewal).Reset(nil, newStream()) },
+		"nil rng":  func() { new(Renewal).Reset(Exponential{Rate: 1}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -95,11 +94,6 @@ func TestNewRejectsBadArgs(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-	for _, times := range [][]float64{{-1}, {2, 1}} {
-		if _, err := NewSchedule(times); err == nil {
-			t.Errorf("NewSchedule(%v) accepted", times)
-		}
 	}
 }
 

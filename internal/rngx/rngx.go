@@ -283,7 +283,8 @@ func (st *Stream) Float64() float64 {
 
 // Uniform returns a uniform variate in [lo, hi).
 func (st *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*st.Float64()
+	// The conversion rounds the product, so no GOARCH fuses the sum.
+	return lo + float64((hi-lo)*st.Float64())
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -424,17 +425,19 @@ func (c ExpCutoff) hitExact(u float64) bool {
 }
 
 // Normal returns a normal variate with the given mean and standard
-// deviation using the Box-Muller transform (pairs cached).
+// deviation using the Box-Muller transform (pairs cached). Every product
+// that feeds a sum, Float64's own scaling included, is rounded by an
+// explicit conversion, so no target fuses them (see Uniform).
 func (st *Stream) Normal(mean, stddev float64) float64 {
 	if st.haveGauss {
 		st.haveGauss = false
-		return mean + stddev*st.gauss
+		return mean + float64(stddev*st.gauss)
 	}
 	var u, v, s float64
 	for {
-		u = 2*st.Float64() - 1
-		v = 2*st.Float64() - 1
-		s = u*u + v*v
+		u = 2*float64(st.Float64()) - 1
+		v = 2*float64(st.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -442,7 +445,7 @@ func (st *Stream) Normal(mean, stddev float64) float64 {
 	f := math.Sqrt(-2 * math.Log(s) / s)
 	st.gauss = v * f
 	st.haveGauss = true
-	return mean + stddev*u*f
+	return mean + float64(stddev*u*f)
 }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).

@@ -2,14 +2,13 @@ package spec
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
 	"respeed/internal/core"
 	"respeed/internal/energy"
 	"respeed/internal/engine"
 	"respeed/internal/faults"
 	"respeed/internal/platform"
-	"respeed/internal/rngx"
 	"respeed/internal/workload"
 )
 
@@ -37,8 +36,8 @@ func EnvFor(cfg platform.Config) Env {
 // rates on Costs, or UniformNodes for multi-node platforms), so a spec
 // re-expressing a named scenario reproduces its goldens byte for byte.
 // Only compositions the legacy paths cannot express — Weibull or
-// log-normal inter-arrivals, correlated bursts, trace replay — use the
-// renewal fault factory.
+// log-normal inter-arrivals, correlated bursts, trace replay — compile
+// to an engine.Renewal description.
 func (s ScenarioSpec) Compile(env Env) (engine.Scenario, error) {
 	if err := s.Validate(); err != nil {
 		return engine.Scenario{}, err
@@ -135,7 +134,8 @@ func expRate(d *DistSpec) float64 {
 }
 
 // compileFaults lowers the fault composition onto sc, choosing the
-// legacy construction whenever it is expressible there.
+// legacy construction whenever it is expressible there, and otherwise
+// describing the renewal channels once for every run to share.
 func (s ScenarioSpec) compileFaults(sc *engine.Scenario) {
 	f := s.Faults
 	if f.Correlation == nil && isPlainExponential(f.Silent) && isPlainExponential(f.FailStop) {
@@ -147,94 +147,38 @@ func (s ScenarioSpec) compileFaults(sc *engine.Scenario) {
 		}
 		return
 	}
-	// Copy the spec pieces the closure needs: the factory must not alias
-	// caller-mutable state.
-	silent := f.Silent.clone()
-	failStop := f.FailStop.clone()
-	var burst *DistSpec
-	spread := 0.0
-	if f.Correlation != nil {
-		b := f.Correlation.Burst
-		burst = b.clone2()
-		spread = f.Correlation.Spread
+	r := &engine.Renewal{
+		Silent:   f.Silent.arrivals(1),
+		FailStop: f.FailStop.arrivals(f.Nodes),
+		Nodes:    f.Nodes,
 	}
-	nodes := f.Nodes
-	sc.Faults = func(seed uint64, prefix string) (engine.FaultProcess, error) {
-		cfg := engine.RenewalConfig{
-			Nodes:       nodes,
-			BurstSpread: spread,
-			RNG:         rngx.NewStream(seed, prefix+"/renewal/aux"),
-		}
-		var err error
-		if silent != nil {
-			cfg.Silent, err = silent.source(seed, prefix+"/renewal/silent")
-			if err != nil {
-				return nil, err
-			}
-		}
-		if failStop != nil {
-			channels := 1
-			if nodes > 0 {
-				channels = nodes
-			}
-			for i := 0; i < channels; i++ {
-				ch, err := failStop.perNode(nodes).source(seed, prefix+"/renewal/failstop-"+strconv.Itoa(i))
-				if err != nil {
-					return nil, err
-				}
-				cfg.FailStop = append(cfg.FailStop, ch)
-			}
-		}
-		if burst != nil {
-			cfg.Burst, err = burst.source(seed, prefix+"/renewal/burst")
-			if err != nil {
-				return nil, err
-			}
-		}
-		return engine.NewRenewalFaults(cfg)
+	if c := f.Correlation; c != nil {
+		r.Burst = c.Burst.arrivals(1)
+		r.BurstSpread = c.Spread
 	}
+	sc.Renewal = r
 }
 
-// clone returns a deep copy (nil-safe).
-func (d *DistSpec) clone() *DistSpec {
+// arrivals lowers one validated channel (nil: none). An exponential
+// rate is divided among nodes > 1 — a platform total split evenly per
+// node, matching UniformNodes; the other families are per-node
+// processes already. Trace times are copied, so the scenario shares no
+// slice with the spec.
+func (d *DistSpec) arrivals(nodes int) *engine.Arrivals {
 	if d == nil {
 		return nil
 	}
-	return d.clone2()
-}
-
-func (d DistSpec) clone2() *DistSpec {
-	cp := d
-	cp.Times = append([]float64(nil), d.Times...)
-	return &cp
-}
-
-// perNode returns the per-node form of a platform-total distribution:
-// an exponential total rate splits evenly across nodes (matching
-// UniformNodes); other families are already per-node processes.
-func (d DistSpec) perNode(nodes int) DistSpec {
-	if nodes > 1 && d.Dist == DistExponential {
-		d.Rate /= float64(nodes)
-	}
-	return d
-}
-
-// source builds one arrival channel on the (seed, name) stream.
-func (d DistSpec) source(seed uint64, name string) (faults.ArrivalSource, error) {
-	if d.Dist == DistTrace {
-		// A fresh schedule per run: replay state is per-execution.
-		return faults.NewSchedule(append([]float64(nil), d.Times...))
-	}
-	var dist faults.Dist
 	switch d.Dist {
-	case DistExponential:
-		dist = faults.Exponential{Rate: d.Rate}
+	case DistTrace:
+		return &engine.Arrivals{Times: slices.Clone(d.Times)}
 	case DistWeibull:
-		dist = faults.Weibull{Shape: d.Shape, Scale: d.Scale}
+		return &engine.Arrivals{Dist: faults.Weibull{Shape: d.Shape, Scale: d.Scale}}
 	case DistLogNormal:
-		dist = faults.LogNormal{Mu: d.Mu, Sigma: d.Sigma}
-	default:
-		return nil, fmt.Errorf("spec: unknown distribution %q", d.Dist)
+		return &engine.Arrivals{Dist: faults.LogNormal{Mu: d.Mu, Sigma: d.Sigma}}
 	}
-	return faults.NewRenewal(dist, rngx.NewStream(seed, name)), nil
+	rate := d.Rate
+	if nodes > 1 {
+		rate /= float64(nodes)
+	}
+	return &engine.Arrivals{Dist: faults.Exponential{Rate: rate}}
 }

@@ -3,13 +3,24 @@ package spec_test
 import (
 	"testing"
 
+	"respeed/internal/platform"
 	"respeed/internal/spec"
 )
 
 // FuzzParse asserts the parser's safety contract: arbitrary input never
-// panics, and any input that parses has a stable canonical form —
-// Canonical(Parse(x)) re-parses to the same canonical bytes and hash.
+// panics, any input that parses has a stable canonical form —
+// Canonical(Parse(x)) re-parses to the same canonical bytes and hash —
+// and compiles against catalog configurations: the spec's checks admit
+// nothing the engine's Scenario.Validate rejects.
 func FuzzParse(f *testing.F) {
+	var envs []spec.Env
+	for _, name := range []string{"Hera/XScale", "Atlas/Crusoe"} {
+		cfg, ok := platform.ByName(name)
+		if !ok {
+			f.Fatalf("unknown config %q", name)
+		}
+		envs = append(envs, spec.EnvFor(cfg))
+	}
 	f.Add([]byte(minimal))
 	for _, name := range spec.Names() {
 		s, _ := spec.ByName(name)
@@ -48,6 +59,11 @@ func FuzzParse(f *testing.F) {
 		h2, _ := spec.Hash(s2)
 		if h1 != h2 {
 			t.Fatalf("hash unstable: %q vs %q", h1, h2)
+		}
+		for _, env := range envs {
+			if _, err := s.Compile(env); err != nil {
+				t.Fatalf("parsed spec does not compile: %v\n%s", err, c1)
+			}
 		}
 	})
 }

@@ -37,7 +37,7 @@ func TestParseMinimal(t *testing.T) {
 	if sc.Costs.LambdaS != 2e-3 || sc.Costs.LambdaF != 0 {
 		t.Errorf("exponential faults must lower onto Costs: %+v", sc.Costs)
 	}
-	if sc.Faults != nil || sc.Nodes != nil {
+	if sc.Renewal != nil || sc.Nodes != nil {
 		t.Error("plain exponential spec must use the legacy aggregate path")
 	}
 }

@@ -187,7 +187,7 @@ func SimulatePatterns(cfg Config, plan Plan, n int, seed uint64) (Estimate, erro
 // the verified-checkpoint protocol with injected faults, and reports
 // makespan, energy, error/detection counts and the final state digest.
 // The run is deterministic in seed. Faults follow the aggregate rates
-// of cfg.Costs; per-node (cfg.Nodes) or factory (cfg.Faults) fault
+// of cfg.Costs; per-node (cfg.Nodes) or renewal (cfg.Renewal) fault
 // processes are rejected, and cfg.NewWorkload is replaced by w. The run
 // advances a clone of w, never w itself, so w keeps its state.
 func RunWorkload(cfg ExecConfig, w Workload, seed uint64) (ExecReport, error) {
