@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"testing"
-
 	"respeed/internal/detect"
 	"respeed/internal/rngx"
 )
@@ -36,22 +34,12 @@ func freshApp(sc Scenario, seed uint64, prefix string, sizes []float64) (*App, e
 	return freshAppWith(sc, fp, sampledRNG, sizes)
 }
 
-// freshRenewalFaults builds a new process for one run of desc under the
-// streams of run prefix, materialized as one plain name.
+// freshRenewalFaults builds a new process for one run of the valid desc
+// under the streams of run prefix, materialized as one plain name.
 func freshRenewalFaults(desc *Renewal, seed uint64, prefix string) *RenewalFaults {
 	f := new(RenewalFaults)
 	f.reset(desc, seed, runName{base: prefix, index: -1})
 	return f
-}
-
-// newRenewalFaults is freshRenewalFaults for a description it first
-// validates.
-func newRenewalFaults(t testing.TB, desc *Renewal, seed uint64, prefix string) *RenewalFaults {
-	t.Helper()
-	if err := desc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return freshRenewalFaults(desc, seed, prefix)
 }
 
 // freshAppOn is RunOn's fresh construction: faults on the caller's

@@ -60,7 +60,7 @@ func TestRenewalValidate(t *testing.T) {
 
 func TestRenewalFaultsDeterminism(t *testing.T) {
 	sample := func() []Outcome {
-		f := newRenewalFaults(t, weibullRenewal(), 42, "det")
+		f := freshRenewalFaults(weibullRenewal(), 42, "det")
 		var outs []Outcome
 		for i := 0; i < 200; i++ {
 			outs = append(outs, f.SampleWindow(0, 60, 52))
@@ -120,7 +120,7 @@ func TestRenewalFaultsResetInPlace(t *testing.T) {
 		for _, desc := range descs {
 			for _, name := range names {
 				f.reset(desc, seed, name.run)
-				want := newRenewalFaults(t, desc, seed, name.prefix)
+				want := freshRenewalFaults(desc, seed, name.prefix)
 				if got, w := renewalDraws(&f), renewalDraws(want); !reflect.DeepEqual(got, w) {
 					t.Fatalf("seed %d, %d nodes, %s: reset process diverged from a fresh one", seed, desc.Nodes, name.prefix)
 				}
@@ -157,7 +157,7 @@ func TestRenewalFaultsExponentialBehaves(t *testing.T) {
 		rate    = 5e-4
 		windows = 200_000
 	)
-	f := newRenewalFaults(t, &Renewal{FailStop: &Arrivals{Dist: faults.Exponential{Rate: rate}}}, 3, "freq")
+	f := freshRenewalFaults(&Renewal{FailStop: &Arrivals{Dist: faults.Exponential{Rate: rate}}}, 3, "freq")
 	hits := 0
 	for i := 0; i < windows; i++ {
 		if out := f.SampleWindow(0, span, span); out.FailStop {
@@ -180,7 +180,7 @@ func TestRenewalFaultsExponentialBehaves(t *testing.T) {
 func TestRenewalBurstAttribution(t *testing.T) {
 	const nodes = 4
 	build := func(spread float64) *RenewalFaults {
-		return newRenewalFaults(t, &Renewal{
+		return freshRenewalFaults(&Renewal{
 			FailStop:    &Arrivals{Dist: faults.Exponential{Rate: 1e-9}},
 			Burst:       &Arrivals{Dist: faults.Exponential{Rate: 1e-2}},
 			BurstSpread: spread,
@@ -240,7 +240,7 @@ func TestRenewalBurstAttribution(t *testing.T) {
 func TestRenewalSilentVictimOnlyWhenReported(t *testing.T) {
 	const nodes = 3
 	build := func(failRate float64) (*RenewalFaults, *rngx.Stream) {
-		f := newRenewalFaults(t, &Renewal{
+		f := freshRenewalFaults(&Renewal{
 			Silent:   &Arrivals{Dist: faults.Exponential{Rate: 10}},
 			FailStop: &Arrivals{Dist: faults.Exponential{Rate: failRate}},
 			Nodes:    nodes,
