@@ -31,8 +31,8 @@ type Detector interface {
 	// Sum fingerprints the state. It must be a pure function of the
 	// bytes: Verifier.Verify passes equal bytes without calling it, and
 	// the engine compares every run's live state against a clean
-	// reference trajectory computed once per call, which is sound only
-	// if equal bytes always sum equal.
+	// reference trajectory stepped once and shared by every run, which
+	// is sound only if equal bytes always sum equal.
 	Sum(state []byte) Digest
 }
 
@@ -56,6 +56,15 @@ func (FNV64) Sum(state []byte) Digest {
 		h *= prime64
 	}
 	return Digest(h)
+}
+
+// OrDefault returns det, or FNV64 when det is nil: the detector every
+// verifier falls back to.
+func OrDefault(det Detector) Detector {
+	if det == nil {
+		return FNV64{}
+	}
+	return det
 }
 
 // CRC32C uses the Castagnoli CRC-32: weaker than FNV-64 in digest width
@@ -86,19 +95,13 @@ type Verifier struct {
 
 // NewVerifier builds a Verifier around a detector; nil defaults to FNV64.
 func NewVerifier(det Detector) *Verifier {
-	if det == nil {
-		det = FNV64{}
-	}
-	return &Verifier{det: det}
+	return &Verifier{det: OrDefault(det)}
 }
 
 // Reset re-derives the verifier in place as NewVerifier(det) would:
 // detector swapped (nil defaulting to FNV64) and counters zeroed.
 func (v *Verifier) Reset(det Detector) {
-	if det == nil {
-		det = FNV64{}
-	}
-	*v = Verifier{det: det}
+	*v = Verifier{det: OrDefault(det)}
 }
 
 // Detector returns the underlying detector.
@@ -163,10 +166,7 @@ func NewSampledVerifier(det Detector, rng interface{ Intn(int) int }, coverage f
 	if rng == nil {
 		panic("detect: nil rng")
 	}
-	if det == nil {
-		det = FNV64{}
-	}
-	return &SampledVerifier{det: det, rng: rng, coverage: coverage}
+	return &SampledVerifier{det: OrDefault(det), rng: rng, coverage: coverage}
 }
 
 // Reset re-derives the partial verifier in place as NewSampledVerifier
@@ -178,10 +178,7 @@ func (v *SampledVerifier) Reset(det Detector, rng interface{ Intn(int) int }, co
 	if rng == nil {
 		panic("detect: nil rng")
 	}
-	if det == nil {
-		det = FNV64{}
-	}
-	*v = SampledVerifier{det: det, rng: rng, coverage: coverage}
+	*v = SampledVerifier{det: OrDefault(det), rng: rng, coverage: coverage}
 }
 
 // Coverage returns the configured coverage fraction.

@@ -36,7 +36,7 @@ func (m Model) CPUPower(sigma float64) float64 {
 // ComputePower returns the total power while computing at speed sigma:
 // κσ³ + Pidle.
 func (m Model) ComputePower(sigma float64) float64 {
-	return m.CPUPower(sigma) + m.Pidle
+	return float64(m.CPUPower(sigma)) + m.Pidle
 }
 
 // IOPower returns the total power during checkpoint or recovery:

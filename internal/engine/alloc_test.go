@@ -4,6 +4,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"respeed/internal/faults"
 )
 
 // Allocation-regression tests: the replication hot path was rebuilt to
@@ -66,18 +68,17 @@ func TestReplicatePatternParallelAllocBudget(t *testing.T) {
 // replication call of the aggregate composition: the campaign context
 // (prototype workload, initial state, pattern sizes), the fan-out
 // machinery, and nothing per run — every per-run component comes from
-// the scratch pool and is reset in place. Measured at ~19 (from 2360 in
-// the build-per-run design); the budget leaves headroom for scheduler
-// noise while still catching any return to per-run App construction.
-// Other compositions may allocate per run what their reports own (the
-// per-node error counts; see simulateAllocBudget).
-const scenarioAllocBudget = 64
+// the scratch pool and is reset in place, and the reference trajectory
+// from the process-wide memo. Measured at 19 (from 2360 in the
+// build-per-run design); the few allocations of headroom are fewer
+// than the 50 any per-run allocation would add.
+const scenarioAllocBudget = 24
 
 // scenarioByteBudget bounds the bytes one such call allocates. Measured
 // at ~11 KB for the aggregate composition and ~12 KB for the simulate
-// shape. A call's reference trajectory comes from a pool, and at the
-// simulate shape one trajectory holds 100 clean states of 2,064 B
-// (≈202 KiB), so building it per call breaks the budget.
+// shape. A call's reference trajectory comes from the process-wide
+// memo, and at the simulate shape one trajectory holds 100 clean states
+// of 2,064 B (≈202 KiB), so stepping it per call breaks the budget.
 const scenarioByteBudget = 48 << 10
 
 func TestReplicateScenarioAllocBudget(t *testing.T) {
@@ -86,12 +87,13 @@ func TestReplicateScenarioAllocBudget(t *testing.T) {
 
 // simulateAllocBudget bounds one n=8 replication call of the simulate
 // shape (cluster-twolevel on heat2d 16×16): the per-node composition,
-// whose fault process resets its node streams in place and allocates
-// only each report's per-node error counts per run. Measured at ~26
-// (~170 when every run rebuilt its per-node process); the budget leaves
-// headroom for scheduler noise while catching any return to per-run
-// process construction (~18 allocations per run).
-const simulateAllocBudget = 48
+// whose fault process resets its node streams in place. Its runs count
+// strikes per node but copy nothing out: only a single Run or RunOn
+// hands the per-node counts to its caller. Measured at 18 (28 while
+// every replication copied them, ~170 when every run rebuilt its
+// per-node process); the headroom is below the 8 any per-run allocation
+// would add.
+const simulateAllocBudget = 22
 
 func TestReplicateScenarioSimulateAllocBudget(t *testing.T) {
 	testScenarioAllocBudget(t, simulateShapeScenario(), 8, simulateAllocBudget)
@@ -100,14 +102,38 @@ func TestReplicateScenarioSimulateAllocBudget(t *testing.T) {
 // renewalAllocBudget bounds one 50-run replication call of the renewal
 // shape (the weibull-failstop composition): its fault process is reset
 // in place like the others, reseeding each channel's stream under its
-// cached name, so nothing is built per run. Measured at ~22 (~770 when
+// cached name, so nothing is built per run. Measured at 22 (~770 when
 // every run built its renewal process, channels and stream names); the
-// budget leaves headroom for scheduler noise while catching any return
-// to per-run construction (~15 allocations per run).
-const renewalAllocBudget = 48
+// headroom is below the 50 any per-run allocation would add.
+const renewalAllocBudget = 26
 
 func TestReplicateScenarioRenewalAllocBudget(t *testing.T) {
 	testScenarioAllocBudget(t, renewalShapeScenario(), 50, renewalAllocBudget)
+}
+
+// perNodeAllocBudget bounds one 50-run replication call of the
+// compositions that attribute strikes to nodes: cluster-twolevel's
+// per-node processes, and the correlated-bursts example spec's
+// multi-node renewal channels under partial verification. Measured at
+// 15 and 19 (65 and 69 while every replication copied its per-node
+// counts into a report nobody read); the headroom is below the 50 any
+// per-run allocation would add.
+const perNodeAllocBudget = 24
+
+func TestReplicateScenarioPerNodeAllocBudget(t *testing.T) {
+	bursts := testScenario()
+	bursts.Costs.LambdaS = 0
+	bursts.Renewal = &Renewal{
+		Silent:      &Arrivals{Dist: faults.LogNormal{Mu: 6.5, Sigma: 1.2}},
+		FailStop:    &Arrivals{Dist: faults.Exponential{Rate: 4e-4}},
+		Burst:       &Arrivals{Dist: faults.Weibull{Shape: 0.8, Scale: 4000}},
+		BurstSpread: 0.5,
+		Nodes:       4,
+	}
+	bursts.Partial = &Partial{Segments: 4, Coverage: 0.8, Cost: 0.375}
+
+	t.Run("cluster-twolevel", func(t *testing.T) { testScenarioAllocBudget(t, clusterScenario(), 50, perNodeAllocBudget) })
+	t.Run("correlated-bursts", func(t *testing.T) { testScenarioAllocBudget(t, bursts, 50, perNodeAllocBudget) })
 }
 
 // testScenarioAllocBudget holds one warm n-run ReplicateScenario call of

@@ -116,6 +116,8 @@ type Report struct {
 // the Workload determinism contract the clean state after pattern k is
 // the same bytes in every run and on every retry, and every rollback
 // restores a verified checkpoint equal to the reference at its pattern.
+// NewApp steps one per App; a Scenario's runs share one per workload
+// and pattern sequence for the life of the process (referenceMemo).
 // It stores the clean states, so a state equal to its entry passes
 // without a digest and only a differing one is digested, both sides, to
 // reach the detector's decision (above maxReferenceBytes it stores
@@ -178,8 +180,7 @@ func NewApp(cfg AppConfig, wl *Runner) (*App, error) {
 	case cfg.Partial != nil:
 		x.replica = wl.clone()
 	case !cfg.SkipVerification:
-		x.ref = new(reference)
-		x.ref.build(wl.clone(), cfg.Sizes, x.verifier.Detector())
+		x.ref = newReference(wl.clone(), cfg.Sizes, x.verifier.Detector())
 	}
 	return x, nil
 }
@@ -211,8 +212,26 @@ func (x *App) restore(state []byte) error {
 
 // Run executes the whole application: every pattern retried (and, under
 // a two-level tier, possibly re-done after disk rollbacks) until its
-// verification passes and its checkpoint commits.
+// verification passes and its checkpoint commits. The report attributes
+// errors to nodes when the fault process does.
 func (x *App) Run() (Report, error) {
+	rep, err := x.run()
+	rep.PerNodeErrors = x.perNodeErrors()
+	return rep, err
+}
+
+// perNodeErrors copies the fault process's per-node error counts (nil
+// for an aggregate process). Only reports that leave the engine carry
+// them: a replication keeps makespan, energy and attempts alone.
+func (x *App) perNodeErrors() []int {
+	if pn, ok := x.cfg.Faults.(interface{ PerNodeErrors() []int }); ok {
+		return pn.PerNodeErrors()
+	}
+	return nil
+}
+
+// run is Run without the per-node error counts.
+func (x *App) run() (Report, error) {
 	if err := x.cfg.Tier.Init(x); err != nil {
 		return x.finish(), err
 	}
@@ -363,9 +382,6 @@ func (x *App) finish() Report {
 	x.rep.FinalProgress = x.main.progress()
 	x.rep.StateDigest = x.verifier.Detector().Sum(x.main.state())
 	x.rep.CkptStats = x.cfg.Tier.Stats()
-	if pn, ok := x.cfg.Faults.(interface{ PerNodeErrors() []int }); ok {
-		x.rep.PerNodeErrors = pn.PerNodeErrors()
-	}
 	x.cfg.Obs.Counters.noteReport(x.rep)
 	return x.rep
 }
@@ -383,7 +399,7 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 	segDur := segWork / sigma
 	partialDur := pe.Cost / sigma
 	verifyDur := x.cfg.Verify / sigma
-	span := float64(m)*segDur + float64(m-1)*partialDur + verifyDur
+	span := float64(float64(m)*segDur) + float64(float64(m-1)*partialDur) + verifyDur
 
 	// Fail-stop errors may strike anywhere in the attempt span.
 	if at, hit := x.cfg.Faults.SampleFailStop(x.rec.Clock(), span); hit {

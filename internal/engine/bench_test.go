@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"respeed/internal/detect"
 	"respeed/internal/faults"
 	"respeed/internal/rngx"
 	"respeed/internal/workload"
@@ -73,14 +74,8 @@ func BenchmarkAppRun(b *testing.B) {
 // the partial+fail-stop composition.
 func BenchmarkScenario(b *testing.B) {
 	build := map[string]func() Scenario{
-		"aggregate": testScenario,
-		"cluster-twolevel": func() Scenario {
-			sc := testScenario()
-			sc.Costs.LambdaS = 0
-			sc.Nodes = UniformNodes(4, 2e-3, 5e-4)
-			sc.TwoLevel = &TwoLevelSpec{MemC: 1.5, DiskC: 6, DiskR: 12, Every: 3}
-			return sc
-		},
+		"aggregate":        testScenario,
+		"cluster-twolevel": clusterScenario,
 		"partial-failstop": func() Scenario {
 			sc := testScenario()
 			sc.Costs.LambdaF = 5e-4
@@ -147,19 +142,66 @@ func BenchmarkReplicateScenarioRenewal(b *testing.B) {
 	}
 }
 
-// simulateShapeScenario is the scenario the end-to-end simulate
-// workload serves: the cluster-twolevel composition (four nodes,
-// memory+disk checkpoints every third pattern) on a 16×16 heat2d
-// kernel with short W=5 patterns, so verification digests and state
-// serialization weigh heavily in every run.
-func simulateShapeScenario() Scenario {
+// clusterScenario is the cluster-twolevel composition on the test
+// costs: four per-node fault processes and memory+disk checkpoints
+// every third pattern, on the stream-64 kernel.
+func clusterScenario() Scenario {
 	sc := testScenario()
-	sc.Plan.W = 5
 	sc.Costs.LambdaS = 0
 	sc.Nodes = UniformNodes(4, 2e-3, 5e-4)
 	sc.TwoLevel = &TwoLevelSpec{MemC: 1.5, DiskC: 6, DiskR: 12, Every: 3}
+	return sc
+}
+
+// simulateShapeScenario is the scenario the end-to-end simulate
+// workload serves: the cluster-twolevel composition on a 16×16 heat2d
+// kernel with short W=5 patterns, so stepping, verification and state
+// serialization weigh heavily in every run.
+func simulateShapeScenario() Scenario {
+	sc := clusterScenario()
+	sc.Plan.W = 5
 	sc.NewWorkload = func() *Runner { return FromWorkload(workload.NewHeat2D(16, 0.2)) }
 	return sc
+}
+
+// BenchmarkReferenceBuild steps one clean reference trajectory of the
+// simulate shape cold (100 patterns of heat2d 16×16, ≈202 KiB of
+// states), bypassing the process-wide memo: what a memo miss costs
+// once per key, and a fingerprint-less runner on every call.
+// Report-only.
+func BenchmarkReferenceBuild(b *testing.B) {
+	sc := simulateShapeScenario()
+	sizes := sc.patternSizes()
+	proto := sc.NewWorkload()
+	init := append([]byte(nil), proto.state()...)
+	wl := proto.Clone()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wl.restore(init); err != nil {
+			b.Fatal(err)
+		}
+		newReference(wl, sizes, detect.FNV64{})
+	}
+}
+
+// BenchmarkReplicateScenarioChunk runs the end-to-end campaign's shard
+// shape: one replication of cluster-twolevel on stream-64 through
+// ReplicateScenarioChunkValidatedCtx, cycling over a 16-shard
+// campaign's chunks. Every shard builds its campaign, and takes its
+// reference trajectory from the memo.
+func BenchmarkReplicateScenarioChunk(b *testing.B) {
+	sc := clusterScenario()
+	ctx := context.Background()
+	if _, err := ReplicateScenarioChunkValidatedCtx(ctx, sc, 11, 0, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 16
+		if _, err := ReplicateScenarioChunkValidatedCtx(ctx, sc, 11, lo, lo+1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkReplicateScenarioSimulate replicates the simulate shape at

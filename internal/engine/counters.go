@@ -120,11 +120,13 @@ func (c *Counters) NoteEstimate(est Estimate) {
 	addFloat(&c.joules, est.Energy.Mean*n)
 }
 
-// addFloat atomically adds v to a float64 stored as uint64 bits.
+// addFloat atomically adds v to a float64 stored as uint64 bits. v is
+// rounded first (float64), so an argument computed as a product never
+// fuses with the add once the call is inlined.
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {
 		old := bits.Load()
-		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+float64(v))) {
 			return
 		}
 	}

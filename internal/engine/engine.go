@@ -26,15 +26,15 @@
 // Monte-Carlo validations and the node-aggregation check. App drives a
 // real state-carrying workload through the full protocol — fault
 // injection flips bits in real state, verification compares the live
-// state with a clean reference trajectory computed once per call,
-// checkpoints store real bytes — and Scenario composes it
-// declaratively (multi-node + two-level, partial verification +
-// fail-stop, ...); one pooled assembly builds every Scenario run, single
-// runs and replications alike (scenariopool.go). The reference stores
-// the clean states, so a live state equal to its entry passes on one
-// compare and only a differing one is digested, both sides; above
-// maxReferenceBytes it stores one digest per pattern instead
-// (reference.go). It is sound because workloads are deterministic
+// state with a clean reference trajectory the process steps once per
+// workload and pattern sequence, checkpoints store real bytes — and
+// Scenario composes it declaratively (multi-node + two-level, partial
+// verification + fail-stop, ...); one pooled assembly builds every
+// Scenario run, single runs and replications alike (scenariopool.go).
+// The reference stores the clean states, so a live state equal to its
+// entry passes on one compare and only a differing one is digested,
+// both sides; above maxReferenceBytes it stores one digest per pattern
+// instead (reference.go). It is sound because workloads are deterministic
 // (package workload) and detectors are pure functions of the bytes
 // (package detect); only partial verification, whose sampled windows
 // compare raw bytes, steps a live clean replica. A verification that

@@ -260,7 +260,7 @@ func (k *patternKernel) runGeneral(ctx context.Context, s *laneScratch, lo, hi i
 			if fCut.Hit(uf) {
 				at := -math.Log1p(-uf) / k.lamF
 				clock += at
-				joules += at * p
+				joules += float64(at * p)
 				failStops++
 				clock += k.r
 				joules += k.eR

@@ -19,7 +19,8 @@ import (
 // scalarChunkReference is the pre-kernel chunk body: the exact
 // construction the fan-out used before batching.
 func scalarChunkReference(plan Plan, costs Costs, model energy.Model, seed uint64, chunk, lo, hi int, acc *estimator) {
-	rng := rngx.NewStreamIndexed(seed, "replicate/chunk-", chunk)
+	rng := new(rngx.Stream)
+	rng.ReseedIndexed(seed, "replicate/chunk-", chunk)
 	agg := NewAggregateFaults(costs.LambdaS, costs.LambdaF, rng)
 	rec := &SumRecorder{model: model}
 	eng := &PatternEngine{cfg: PatternConfig{Plan: plan, Costs: costs, Faults: agg, Recorder: rec}}

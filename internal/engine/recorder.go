@@ -36,11 +36,11 @@ func (r *SumRecorder) Advance(dur float64, act energy.Activity, sigma float64) {
 	r.clock += dur
 	switch act {
 	case energy.Compute, energy.Verify:
-		r.joules += r.model.ComputeEnergy(dur, sigma)
+		r.joules += float64(r.model.ComputeEnergy(dur, sigma))
 	case energy.Checkpoint, energy.Recovery:
-		r.joules += r.model.IOEnergy(dur)
+		r.joules += float64(r.model.IOEnergy(dur))
 	default:
-		r.joules += r.model.IdleEnergy(dur)
+		r.joules += float64(r.model.IdleEnergy(dur))
 	}
 }
 

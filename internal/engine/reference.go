@@ -1,49 +1,56 @@
 package engine
 
-import "respeed/internal/detect"
+import (
+	"bytes"
+	"hash/maphash"
+	"math"
+	"reflect"
+	"sync"
+
+	"respeed/internal/detect"
+)
 
 // maxReferenceBytes caps the clean states one reference trajectory
 // stores. Against stored bytes a passing verification costs one compare
-// instead of a digest, but the bytes cost patterns × state length per
-// call: 100 × 2,064 B ≈ 202 KiB at the simulate shape (heat2d 16×16,
-// W=5), while a spec with a large state would hold hundreds of MiB (one
-// 512×512 heat2d state is 2 MiB). Above the cap a trajectory keeps one
-// digest per pattern instead. 4 MiB is twenty times the simulate shape's
-// trajectory, and small beside a daemon's heap.
+// instead of a digest, but the bytes cost patterns × state length for
+// as long as the trajectory lives: 100 × 2,064 B ≈ 202 KiB at the
+// simulate shape (heat2d 16×16, W=5), while a spec with a large state
+// would hold hundreds of MiB (one 512×512 heat2d state is 2 MiB). Above
+// the cap a trajectory keeps one digest per pattern instead. 4 MiB is
+// twenty times the simulate shape's trajectory, and small beside a
+// daemon's heap.
 const maxReferenceBytes = 4 << 20
 
 // reference is the clean trajectory every guaranteed verification of a
 // run compares against: entry k is the state after sizes[0..k]. It
 // holds the states themselves, stride bytes apart, when they fit under
-// maxReferenceBytes, and their digests otherwise. Once built it is
-// read-only and may be shared by concurrent runs.
+// maxReferenceBytes, and their digests otherwise. It is immutable once
+// built, so concurrent runs, and every call that shares it through
+// referenceMemo, read it without synchronization.
 type reference struct {
 	states  []byte
 	stride  int // bytes per stored state; 0 when the trajectory is digests
 	digests []detect.Digest
 }
 
-// build steps wl through sizes, one advance per pattern — the
-// granularity App uses — and records the state after each, reusing the
-// buffers when they are large enough. Stored states take no digest. A
-// workload whose state changes length cannot be stored at one stride,
-// so its trajectory falls back to digests.
-func (r *reference) build(wl *Runner, sizes []float64, det detect.Detector) {
-	r.stride, r.digests = 0, r.digests[:0]
+// newReference steps wl through sizes, one advance per pattern — the
+// granularity App uses — and records the state after each. Stored
+// states take no digest. A workload whose state changes length cannot
+// be stored at one stride, so its trajectory falls back to digests
+// taken with det.
+func newReference(wl *Runner, sizes []float64, det detect.Detector) *reference {
+	r := new(reference)
 	for k, w := range sizes {
 		wl.advance(w)
 		st := wl.state()
 		if need := len(st) * len(sizes); k == 0 && need <= maxReferenceBytes {
-			if cap(r.states) < need {
-				r.states = make([]byte, need)
-			}
-			r.states, r.stride = r.states[:need], len(st)
+			r.states, r.stride = make([]byte, need), len(st)
 		}
 		if r.stride > 0 && len(st) != r.stride {
 			for i := 0; i < k; i++ {
 				r.digests = append(r.digests, det.Sum(r.state(i)))
 			}
-			r.stride = 0
+			r.states, r.stride = nil, 0
 		}
 		if r.stride > 0 {
 			copy(r.state(k), st)
@@ -51,6 +58,7 @@ func (r *reference) build(wl *Runner, sizes []float64, det detect.Detector) {
 			r.digests = append(r.digests, det.Sum(st))
 		}
 	}
+	return r
 }
 
 // state returns stored entry k.
@@ -63,4 +71,139 @@ func (r *reference) verify(v *detect.Verifier, k int, state []byte) bool {
 		return v.VerifyDigest(state, r.digests[k])
 	}
 	return v.Verify(state, r.state(k))
+}
+
+// workloadID witnesses which workload a never-advanced runner is: its
+// name, its constructor fingerprint and its serialized initial state.
+// Two runners with the same witness step identically, so a workload
+// cached for one, or a clean trajectory stepped from one, serves the
+// other. Only kernels that expose a fingerprint have a witness (ok): a
+// name and a state alone cannot prove two kernels interchangeable
+// (Heat's diffusion coefficient appears in neither).
+type workloadID struct {
+	name  string
+	fp    uint64
+	state []byte
+	ok    bool
+}
+
+// identity returns the witness of the never-advanced runner r, with its
+// own copy of the state.
+func (r *Runner) identity() workloadID {
+	return workloadID{name: r.name, fp: r.fp, state: append([]byte(nil), r.state()...), ok: r.hasFP}
+}
+
+// same reports whether id and o witness one interchangeable workload.
+func (id *workloadID) same(o *workloadID) bool {
+	return id.ok && o.ok && id.fp == o.fp && id.name == o.name && bytes.Equal(id.state, o.state)
+}
+
+// referenceMemoBytes bounds what referenceMemo holds, keys included:
+// four trajectories at maxReferenceBytes, or about eighty at the
+// simulate shape. A daemon needs one trajectory per spec and pattern
+// plan it serves, so the bound only guards pathological use; when an
+// entry would cross it the memo evicts everything rather than tracking
+// recency, as core.GridFor's cache does.
+const referenceMemoBytes = 4 * maxReferenceBytes
+
+// referenceMemo holds every clean trajectory a scenario campaign has
+// stepped, once per process per key: a trajectory is a pure function
+// of the workload (its witness), the pattern sizes and, for the digest
+// form only, the detector. Entries chain under a hash of the workload
+// and the sizes, and a lookup compares those in full.
+var referenceMemo struct {
+	sync.Mutex
+	seed    maphash.Seed
+	entries map[uint64][]*memoEntry
+	bytes   int
+}
+
+func init() { referenceMemo.seed = maphash.MakeSeed() }
+
+// memoEntry is one memoized trajectory with its key. The key's state
+// and sizes alias the campaign that stepped the trajectory; a campaign
+// never writes them.
+type memoEntry struct {
+	wl    workloadID
+	sizes []float64
+	det   detect.Detector // the digest form's detector; nil for stored states
+	ref   *reference
+}
+
+// size is the bytes e holds: the trajectory and its key.
+func (e *memoEntry) size() int {
+	return len(e.ref.states) + 8*len(e.ref.digests) + len(e.wl.name) + len(e.wl.state) + 8*len(e.sizes)
+}
+
+// memoHash hashes the workload witness and the pattern sizes' bits.
+func memoHash(wl *workloadID, sizes []float64) uint64 {
+	const prime = 0x100000001b3
+	h := maphash.Bytes(referenceMemo.seed, wl.state)
+	h = (h ^ maphash.String(referenceMemo.seed, wl.name)) * prime
+	h = (h ^ wl.fp) * prime
+	for _, w := range sizes {
+		h = (h ^ math.Float64bits(w)) * prime
+	}
+	return h
+}
+
+// matches reports whether e is the trajectory of (wl, sizes, det).
+func (e *memoEntry) matches(wl *workloadID, sizes []float64, det detect.Detector) bool {
+	if !e.wl.same(wl) || len(e.sizes) != len(sizes) {
+		return false
+	}
+	for i, w := range sizes {
+		if math.Float64bits(e.sizes[i]) != math.Float64bits(w) {
+			return false
+		}
+	}
+	// Stored states serve every detector. A digest entry holds only a
+	// deeply comparable detector, so == cannot panic.
+	return e.ref.stride > 0 || e.det == det
+}
+
+// lookupReference returns the memoized trajectory of (wl, sizes, det)
+// under hash h, or nil. It allocates nothing.
+func lookupReference(h uint64, wl *workloadID, sizes []float64, det detect.Detector) *reference {
+	referenceMemo.Lock()
+	defer referenceMemo.Unlock()
+	for _, e := range referenceMemo.entries[h] {
+		if e.matches(wl, sizes, det) {
+			return e.ref
+		}
+	}
+	return nil
+}
+
+// storeReference memoizes ref as the trajectory of (wl, sizes, det)
+// under hash h and returns the trajectory callers should share: ref, or
+// the one a concurrent call stored first. A trajectory larger than the
+// whole budget, or in digest form under a detector that == cannot
+// compare, is returned without being memoized.
+func storeReference(h uint64, wl *workloadID, sizes []float64, det detect.Detector, ref *reference) *reference {
+	e := &memoEntry{wl: *wl, sizes: sizes, ref: ref}
+	if ref.stride == 0 {
+		if !reflect.ValueOf(det).Comparable() {
+			return ref
+		}
+		e.det = det
+	}
+	size := e.size()
+	if size > referenceMemoBytes {
+		return ref
+	}
+	referenceMemo.Lock()
+	defer referenceMemo.Unlock()
+	for _, o := range referenceMemo.entries[h] {
+		if o.matches(wl, sizes, det) {
+			return o.ref
+		}
+	}
+	if referenceMemo.entries == nil || referenceMemo.bytes+size > referenceMemoBytes {
+		referenceMemo.entries = make(map[uint64][]*memoEntry)
+		referenceMemo.bytes = 0
+	}
+	referenceMemo.entries[h] = append(referenceMemo.entries[h], e)
+	referenceMemo.bytes += size
+	return ref
 }

@@ -44,6 +44,13 @@ func legacyMode(x *App) *App {
 // always used the replica and still do, so they delegate to
 // attemptPartial.
 func legacyRun(x *App) (Report, error) {
+	rep, err := legacyRunBody(x)
+	rep.PerNodeErrors = x.perNodeErrors()
+	return rep, err
+}
+
+// legacyRunBody is legacyRun without the per-node error counts.
+func legacyRunBody(x *App) (Report, error) {
 	if err := x.cfg.Tier.Init(x); err != nil {
 		return x.finish(), err
 	}
@@ -278,14 +285,13 @@ func (panicDetector) Sum([]byte) detect.Digest {
 
 // TestReferenceStepsOncePerPattern pins the reference trajectory to the
 // App's granularity: one advance per pattern, entry k the state after
-// sizes[0..k]. Stored states take no digest and refill a reused buffer
-// in place; a trajectory above maxReferenceBytes, or of a state that
-// changes length, holds the digests instead.
+// sizes[0..k]. Stored states take no digest; a trajectory above
+// maxReferenceBytes, or of a state that changes length, holds the
+// digests instead and no states.
 func TestReferenceStepsOncePerPattern(t *testing.T) {
 	sizes := PatternSizes(333.3, 47.5)
 	mk := func() *Runner { return FromWorkload(workload.NewHeat(64, 0.2)) }
-	var ref reference
-	ref.build(mk(), sizes, panicDetector{})
+	ref := newReference(mk(), sizes, panicDetector{})
 	if ref.stride == 0 || len(ref.states) != len(sizes)*ref.stride || len(ref.digests) != 0 {
 		t.Fatalf("%d patterns stored as %d bytes at stride %d and %d digests", len(sizes), len(ref.states), ref.stride, len(ref.digests))
 	}
@@ -295,12 +301,6 @@ func TestReferenceStepsOncePerPattern(t *testing.T) {
 		if !bytes.Equal(ref.state(k), w.state()) {
 			t.Fatalf("entry %d is not the state after sizes[0..%d]", k, k)
 		}
-	}
-	// A reused trajectory is refilled in place, not grown.
-	want, buf := append([]byte(nil), ref.states...), &ref.states[0]
-	ref.build(mk(), sizes, panicDetector{})
-	if !bytes.Equal(ref.states, want) || &ref.states[0] != buf {
-		t.Fatal("build did not reuse and refill its buffer")
 	}
 
 	// Digest forms: a trajectory over the cap (100 patterns of a
@@ -319,8 +319,8 @@ func TestReferenceStepsOncePerPattern(t *testing.T) {
 		{"above-cap", func() *Runner { return FromWorkload(workload.NewHeat(6000, 0.2)) }, PatternSizes(100, 1)},
 		{"growing-state", growing, PatternSizes(10, 1)},
 	} {
-		ref.build(tc.mk(), tc.sizes, detect.FNV64{})
-		if ref.stride != 0 || len(ref.digests) != len(tc.sizes) {
+		ref := newReference(tc.mk(), tc.sizes, detect.FNV64{})
+		if ref.stride != 0 || ref.states != nil || len(ref.digests) != len(tc.sizes) {
 			t.Fatalf("%s: %d patterns kept at stride %d with %d digests, want digests only", tc.name, len(tc.sizes), ref.stride, len(ref.digests))
 		}
 		w := tc.mk()
@@ -426,7 +426,6 @@ func TestReferenceMatchesLiveReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.release()
 			if c.ref != nil && (c.ref.stride == 0) != (tc.name == "reference-above-cap") {
 				t.Fatalf("reference stored at stride %d: only the above-cap case holds digests", c.ref.stride)
 			}
@@ -435,7 +434,7 @@ func TestReferenceMatchesLiveReplica(t *testing.T) {
 			defer putScratch(s)
 			s.prepare(c)
 			for i := range want {
-				got, err := guarded(t, "pooled run", func() (Report, error) { return s.runOnce(c, seed, replication(i)) })
+				got, err := guarded(t, "pooled run", func() (Report, error) { return s.runReport(c, seed, replication(i)) })
 				if err != nil {
 					t.Fatalf("pooled run %d: %v", i, err)
 				}
@@ -499,8 +498,7 @@ func TestReferenceAcrossWitnessCampaigns(t *testing.T) {
 			}
 			c.sc.Obs.TraceSink = guardSink()
 			s.prepare(c)
-			got, err := guarded(t, "pooled run", func() (Report, error) { return s.runOnce(c, seed, replication(round)) })
-			c.release()
+			got, err := guarded(t, "pooled run", func() (Report, error) { return s.runReport(c, seed, replication(round)) })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -153,10 +153,9 @@ func (sc Scenario) runSingle(seed uint64, name runName) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	defer c.release()
 	s := getScratch(c)
 	defer putScratch(s)
-	return s.runOnce(c, seed, name)
+	return s.runReport(c, seed, name)
 }
 
 // patternSizes returns the scenario's pattern work sequence — the same
@@ -199,7 +198,6 @@ func ReplicateScenarioValidatedCtx(ctx context.Context, sc Scenario, seed uint64
 	if err != nil {
 		return Estimate{}, err
 	}
-	defer c.release()
 	return chunkedFanOut(ctx, n, workers, sc.TotalWork, func(ctx context.Context, chunk, lo, hi int, acc *estimator) error {
 		return runScenarioRange(ctx, c, seed, lo, hi, acc)
 	})
@@ -251,7 +249,6 @@ func ReplicateScenarioChunkValidatedCtx(ctx context.Context, sc Scenario, seed u
 	if err != nil {
 		return ChunkEstimate{}, err
 	}
-	defer c.release()
 	acc := estimator{w: sc.TotalWork}
 	if err := runScenarioRange(ctx, c, seed, lo, hi, &acc); err != nil {
 		return ChunkEstimate{}, err

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -13,8 +12,9 @@ import (
 // This file is the one place a Scenario run is assembled: Run, RunOn
 // and every replication build a campaign (the pieces shared by all of
 // its runs, including the clean reference trajectory every run verifies
-// against), take a scratch of per-run pieces from a sync.Pool, and reset
-// each component in place to the exact state a fresh construction would
+// against, which the process steps once per workload and pattern sequence),
+// take a scratch of per-run pieces from a sync.Pool, and reset each
+// component in place to the exact state a fresh construction would
 // have: every fault process, renewal channels included, reseeds its
 // streams in place. Building the whole App fresh per run — workload
 // pair, fault process, checkpoint tier, meter, verifier — costs ~2.4k
@@ -22,44 +22,43 @@ import (
 // that fresh construction, which the tests keep as their reference and
 // replay against the pooled runs, reports compared byte for byte.
 
-// scenarioCampaign is the per-call shared context of a pooled scenario
-// replication: the validated scenario (trace hooks already cleared),
-// its precomputed pattern sizes, a pristine prototype workload with its
-// serialized initial state, and the clean reference trajectory every
-// run verifies against. All fields are read-only from construction to
-// release and shared across worker goroutines.
+// scenarioCampaign is the shared context of a pooled scenario call:
+// the validated scenario (trace hooks already cleared), its precomputed
+// pattern sizes, a pristine prototype workload with its witness, and
+// the clean reference trajectory every run verifies against. It is
+// read-only once built and shared across worker goroutines; the
+// garbage collector reclaims it, so nothing needs releasing.
 type scenarioCampaign struct {
 	sc    Scenario
 	sizes []float64
 
 	// proto is one never-advanced product of sc.NewWorkload; runs clone
 	// it instead of re-invoking the factory (the factory contract is a
-	// deterministic fresh construction, so the clones are identical).
-	proto     *Runner
-	initState []byte
+	// deterministic fresh construction, so the clones are identical). wl
+	// is its witness, whose state every run restores.
+	proto *Runner
+	wl    workloadID
 
 	// ref is the clean trajectory (nil for blind and partial campaigns,
-	// which do not use it), borrowed from refPool by buildRef until
-	// release.
+	// which do not use it): from referenceMemo when proto has a witness,
+	// stepped for this campaign alone otherwise.
 	ref *reference
 }
 
 // newScenarioCampaign builds the shared context on the calling
 // goroutine, reference trajectory included. sc must already be
 // validated; its runs record into sc.Trace and sc.Obs.TraceSink, which
-// a fan-out must clear first. The caller owns the context until it
-// calls release, which it must defer past the end of the fan-out: every
-// worker reads the reference.
+// a fan-out must clear first.
 func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 	proto := sc.NewWorkload()
 	if proto == nil {
 		return nil, fmt.Errorf("engine: nil workload")
 	}
 	c := &scenarioCampaign{
-		sc:        sc,
-		sizes:     sc.patternSizes(),
-		proto:     proto,
-		initState: append([]byte(nil), proto.state()...),
+		sc:    sc,
+		sizes: sc.patternSizes(),
+		proto: proto,
+		wl:    proto.identity(),
 	}
 	if err := c.buildRef(); err != nil {
 		return nil, err
@@ -67,34 +66,32 @@ func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 	return c, nil
 }
 
-// refPool recycles reference trajectories, and so their buffers, across
-// calls.
-var refPool = sync.Pool{New: func() any { return new(reference) }}
-
-// buildRef computes the campaign's reference trajectory into a pooled
-// one, stepping a pooled scratch workload from the initial state.
+// buildRef finds the campaign's reference trajectory in referenceMemo,
+// or steps it from the initial state on a pooled scratch workload. Only
+// a witnessed workload is memoized: a fingerprint-less one (a NewRunner
+// fake) gets a trajectory of its own on every call.
 func (c *scenarioCampaign) buildRef() error {
 	if c.sc.SkipVerification || c.sc.Partial != nil {
 		return nil
 	}
+	det := detect.OrDefault(c.sc.Detector)
+	var h uint64
+	if c.wl.ok {
+		h = memoHash(&c.wl, c.sizes)
+		if c.ref = lookupReference(h, &c.wl, c.sizes, det); c.ref != nil {
+			return nil
+		}
+	}
 	s := getScratch(c)
 	defer putScratch(s)
-	if err := s.main.restore(c.initState); err != nil {
+	if err := s.main.restore(c.wl.state); err != nil {
 		return fmt.Errorf("engine: reset reference workload: %w", err)
 	}
-	s.verifier.Reset(c.sc.Detector) // resolves a nil detector to FNV-64a
-	c.ref = refPool.Get().(*reference)
-	c.ref.build(s.main, c.sizes, s.verifier.Detector())
-	return nil
-}
-
-// release returns the reference trajectory to the pool; no run may read
-// c.ref afterwards.
-func (c *scenarioCampaign) release() {
-	if c.ref != nil {
-		refPool.Put(c.ref)
-		c.ref = nil
+	c.ref = newReference(s.main, c.sizes, det)
+	if c.wl.ok {
+		c.ref = storeReference(h, &c.wl, c.sizes, det, c.ref)
 	}
+	return nil
 }
 
 // scenarioScratch is the pooled per-chunk working set of scenario
@@ -116,17 +113,11 @@ type scenarioScratch struct {
 	app        App
 
 	// The cached workload (and, for partial campaigns, its clean
-	// replica), with the witness identifying what it is: reusable only
-	// when the campaign's prototype has a matching name, constructor
-	// fingerprint and initial state. Workloads whose kernels expose no
-	// fingerprint are rebuilt per chunk — names and snapshots alone
-	// cannot prove interchangeability (Heat's diffusion coefficient
-	// appears in neither).
+	// replica), with the witness of what it is: reusable only by a
+	// campaign whose prototype has the same witness. Workloads whose
+	// kernels expose no fingerprint have none, and are rebuilt per chunk.
 	main, replica *Runner
-	wlName        string
-	wlFP          uint64
-	wlState       []byte
-	haveWL        bool
+	wl            workloadID
 }
 
 var scenarioScratchPool = sync.Pool{New: func() any { return new(scenarioScratch) }}
@@ -141,7 +132,8 @@ func getScratch(c *scenarioCampaign) *scenarioScratch {
 // putScratch returns s to the pool without what its last run borrowed
 // from the caller: the trace recorder and sink, RunOn's stream, the
 // node list, the renewal description with its distributions and trace
-// times, and the campaign's reference.
+// times, and the campaign's reference, which a pooled scratch must not
+// keep alive.
 func putScratch(s *scenarioScratch) {
 	s.app = App{corruptBuf: s.app.corruptBuf}
 	s.agg.rng = nil
@@ -155,16 +147,10 @@ func putScratch(s *scenarioScratch) {
 // replica a partial campaign needs).
 func (s *scenarioScratch) prepare(c *scenarioCampaign) {
 	s.rec.meter = &s.meter
-	if !(s.haveWL &&
-		c.proto.hasFP && s.wlFP == c.proto.fp &&
-		s.wlName == c.proto.name &&
-		bytes.Equal(s.wlState, c.initState)) {
+	if !s.wl.same(&c.wl) {
 		s.main = c.proto.Clone()
 		s.replica = nil
-		s.wlName = c.proto.name
-		s.wlFP = c.proto.fp
-		s.wlState = append(s.wlState[:0], c.initState...)
-		s.haveWL = c.proto.hasFP
+		s.wl = workloadID{name: c.wl.name, fp: c.wl.fp, state: append(s.wl.state[:0], c.wl.state...), ok: c.wl.ok}
 	}
 	if c.sc.Partial != nil && s.replica == nil {
 		s.replica = c.proto.Clone()
@@ -195,8 +181,17 @@ func (n runName) reseed(st *rngx.Stream, seed uint64, suffix string) {
 	st.ReseedIndexedSuffix(seed, n.base, n.index, suffix)
 }
 
+// runReport executes one run for a report that leaves the engine (Run
+// and RunOn): runOnce's report with the per-node error counts attached.
+func (s *scenarioScratch) runReport(c *scenarioCampaign, seed uint64, name runName) (Report, error) {
+	rep, err := s.runOnce(c, seed, name)
+	rep.PerNodeErrors = s.app.perNodeErrors()
+	return rep, err
+}
+
 // runOnce executes one run of the campaign under name's streams,
-// bit-identically to a fresh App built by NewApp for the same run.
+// bit-identically to a fresh App built by NewApp for the same run,
+// except that the report leaves out the per-node error counts.
 func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, name runName) (Report, error) {
 	sc := &c.sc
 
@@ -240,7 +235,7 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, name runName
 		s.sampled.Reset(sc.Detector, &s.sampledRNG, sc.Partial.Coverage)
 		sampled = &s.sampled
 		replica = s.replica
-		if err := replica.restore(c.initState); err != nil {
+		if err := replica.restore(c.wl.state); err != nil {
 			return Report{}, fmt.Errorf("engine: reset replica: %w", err)
 		}
 	}
@@ -248,7 +243,7 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, name runName
 	s.rec.clock = 0
 	s.meter.Reinit(sc.Model)
 	s.verifier.Reset(sc.Detector)
-	if err := s.main.restore(c.initState); err != nil {
+	if err := s.main.restore(c.wl.state); err != nil {
 		return Report{}, fmt.Errorf("engine: reset workload: %w", err)
 	}
 
@@ -277,5 +272,5 @@ func (s *scenarioScratch) runOnce(c *scenarioCampaign, seed uint64, name runName
 		rec:        &s.rec,
 		corruptBuf: s.app.corruptBuf,
 	}
-	return s.app.Run()
+	return s.app.run()
 }

@@ -34,10 +34,7 @@ func scenarioPoolCases() []struct {
 	bothChannels := base
 	bothChannels.Costs.LambdaF = 5e-4
 
-	cluster := base
-	cluster.Costs.LambdaS = 0
-	cluster.Nodes = UniformNodes(4, 2e-3, 5e-4)
-	cluster.TwoLevel = &TwoLevelSpec{MemC: 1.5, DiskC: 6, DiskR: 12, Every: 3}
+	cluster := clusterScenario()
 
 	partialFS := base
 	partialFS.Costs.LambdaF = 5e-4
@@ -98,9 +95,9 @@ func TestScenarioPoolMatchesRunSized(t *testing.T) {
 			// Consecutive runs on one scratch: any state a reset missed
 			// leaks from run i into run i+1 and breaks the comparison.
 			for _, i := range []int{0, 1, 7, 63, 1000} {
-				got, err := s.runOnce(c, seed, replication(i))
+				got, err := s.runReport(c, seed, replication(i))
 				if err != nil {
-					t.Fatalf("runOnce(%d): %v", i, err)
+					t.Fatalf("runReport(%d): %v", i, err)
 				}
 				want := freshReport(t, tc.sc, seed, i, c.sizes)
 				if !reflect.DeepEqual(got, want) {
@@ -141,7 +138,7 @@ func TestScenarioScratchReuseAcrossCampaigns(t *testing.T) {
 			sc Scenario
 		}{{cA, scA}, {cB, scB}} {
 			s.prepare(cc.c)
-			got, err := s.runOnce(cc.c, seed, replication(round))
+			got, err := s.runReport(cc.c, seed, replication(round))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +288,6 @@ func TestPutScratchDropsCallerHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.release()
 	s := getScratch(c)
 	if _, err := s.runOnce(c, 1, runName{base: "hooks", index: -1, exec: rngx.NewStream(1, "hooks")}); err != nil {
 		t.Fatal(err)
@@ -319,7 +315,6 @@ func TestPutScratchDropsCallerHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.release()
 	s = getScratch(c)
 	if _, err := s.runOnce(c, 1, replication(0)); err != nil {
 		t.Fatal(err)

@@ -206,7 +206,3 @@ func (s *Schedule) Within(span float64) (float64, bool) {
 	s.clock = end
 	return 0, false
 }
-
-// Remaining reports how many recorded arrivals have not yet been
-// delivered.
-func (s *Schedule) Remaining() int { return len(s.times) - s.idx }

@@ -226,25 +226,29 @@ func TestScheduleReplay(t *testing.T) {
 	if !hit || at != 0.5 {
 		t.Fatalf("want strike at offset 0.5, got (%g, %v)", at, hit)
 	}
-	if s.Remaining() != 1 {
-		t.Fatalf("remaining = %d, want 1", s.Remaining())
-	}
+	// One arrival remains: 400, delivered once the clock reaches it.
 	for i := 0; i < 10; i++ {
 		if _, hit := s.Within(10); hit {
 			t.Fatalf("arrival 400 delivered too early (clock window %d)", i)
 		}
 	}
-	at, hit = s.Within(1000)
-	if !hit {
-		t.Fatal("arrival 400 never delivered")
+	at, hit = s.Within(1000) // clock 220.5: strikes 400 at offset 179.5
+	if !hit || at != 179.5 {
+		t.Fatalf("want arrival 400 at offset 179.5, got (%g, %v)", at, hit)
 	}
 	if _, hit := s.Within(1e9); hit {
 		t.Fatal("exhausted schedule must not strike")
 	}
-	// A reset rewinds the replay to the first recorded arrival.
+	// A reset rewinds the replay to the first recorded arrival, and all
+	// four arrive again, each once.
 	s.Reset(times)
-	if at, hit := s.Within(100); !hit || at != 50 || s.Remaining() != 3 {
-		t.Fatalf("after reset: (%g, %v) with %d remaining, want a strike at 50 and 3 remaining", at, hit, s.Remaining())
+	for _, want := range []float64{50, 70, 0.5, 279.5} {
+		if at, hit := s.Within(math.Inf(1)); !hit || at != want {
+			t.Fatalf("after reset: (%g, %v), want a strike at offset %g", at, hit, want)
+		}
+	}
+	if _, hit := s.Within(math.Inf(1)); hit {
+		t.Fatal("after reset: a fifth arrival struck")
 	}
 }
 

@@ -118,11 +118,14 @@ func TestReseedIndexedMatchesSprintfName(t *testing.T) {
 	}
 }
 
-func TestNewStreamIndexedMatchesNewStream(t *testing.T) {
-	a := NewStreamIndexed(5, "scenario/", 17)
+// TestReseedIndexedNewStreamMatchesNewStream: a new stream derived by
+// ReseedIndexed draws what NewStream draws under the concatenated name.
+func TestReseedIndexedNewStreamMatchesNewStream(t *testing.T) {
+	a := new(Stream)
+	a.ReseedIndexed(5, "scenario/", 17)
 	b := NewStream(5, "scenario/17")
 	if !sequencesEqual(sampleSome(a), sampleSome(b)) {
-		t.Fatal("NewStreamIndexed sequence differs from NewStream with the concatenated name")
+		t.Fatal("a new stream derived by ReseedIndexed differs from NewStream with the concatenated name")
 	}
 }
 

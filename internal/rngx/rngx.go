@@ -175,7 +175,7 @@ type Stream struct {
 	seed uint64
 
 	// idx/indexed carry the numeric suffix of a stream derived by
-	// NewStreamIndexed/ReseedIndexed; Name() re-materializes the full
+	// ReseedIndexed; Name() re-materializes the full
 	// name only when asked (cold path), keeping the hot path free of
 	// string building. suffix is the trailing fixed part set by
 	// ReseedIndexedSuffix (empty for plain indexed streams).
@@ -205,15 +205,6 @@ func (st *Stream) Reseed(seed uint64, name string) {
 	st.name = name
 	st.indexed = false
 	st.suffix = ""
-}
-
-// NewStreamIndexed derives the stream NewStream(seed, prefix+decimal(index))
-// — the naming convention of per-chunk and per-replication substreams —
-// with a single allocation (the Stream itself).
-func NewStreamIndexed(seed uint64, prefix string, index int) *Stream {
-	st := &Stream{}
-	st.ReseedIndexed(seed, prefix, index)
-	return st
 }
 
 // ReseedIndexed re-derives the stream in place as

@@ -140,10 +140,39 @@ var pinnedSpecs = map[string]specPin{
 	"example/weibull-failstop.json":  {0x01666b3caf08ea58, 0x40b5168000000000, 0x41235e8033333333, 0x40b80c69ff3867f4, 0x408666dd7d22dae7, 0xfe9a401fe68ff55a},
 }
 
+// unfingerprinted hides a kernel's Fingerprint method. The engine then
+// cannot prove two constructions interchangeable, so every call steps
+// its own clean reference trajectory instead of sharing the one its
+// process-wide memo holds: each call runs cold, as if that memo were
+// flushed before it.
+type unfingerprinted struct{ workload.Workload }
+
+func (u unfingerprinted) Clone() workload.Workload { return unfingerprinted{u.Workload.Clone()} }
+
+// specKernel builds the kernel a spec's workload section names, as the
+// compiler does.
+func specKernel(w *spec.WorkloadSpec) workload.Workload {
+	switch {
+	case w == nil:
+		return workload.NewStream(7, 64)
+	case w.Kind == "heat":
+		return workload.NewHeat(w.Size, w.Alpha)
+	case w.Kind == "heat2d":
+		return workload.NewHeat2D(w.Size, w.Alpha)
+	case w.Kind == "matvec":
+		return workload.NewMatVec(w.Size)
+	default:
+		return workload.NewStream(w.Seed, w.Size)
+	}
+}
+
 // TestBuiltinSpecsPinnedTraceHash pins every built-in and example spec
 // to pinnedSpecs, so a silent behavior change in the compile path or
 // the engine cannot hide behind the equivalence test (which would drift
-// in lockstep).
+// in lockstep). Each spec is pinned cold, on a fingerprint-less kernel
+// whose every call steps its own reference trajectory, and then twice
+// warm, as compiled: the second warm pass takes every trajectory from
+// the memo.
 func TestBuiltinSpecsPinnedTraceHash(t *testing.T) {
 	cfg, _ := platform.ByName("Hera/XScale")
 	env := spec.EnvFor(cfg)
@@ -177,40 +206,56 @@ func TestBuiltinSpecsPinnedTraceHash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const seed = 7
-			sc.Trace = trace.New(0)
-			rep, err := sc.Run(seed)
-			if err != nil {
-				t.Fatal(err)
+			cold := sc
+			cold.NewWorkload = func() *engine.Runner { return engine.FromWorkload(unfingerprinted{specKernel(sp.Workload)}) }
+			if c, w := cold.NewWorkload().Name(), sc.NewWorkload().Name(); c != w {
+				t.Fatalf("cold kernel %s, compiled kernel %s", c, w)
 			}
-			h := traceHash(t, sc.Trace)
-			sc.Trace = nil
-			est, err := engine.ReplicateScenario(sc, seed, 30, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var reports bytes.Buffer
-			for s := uint64(1); s <= 64; s++ {
-				r, err := sc.Run(s)
-				if err != nil {
-					t.Fatal(err)
+			want, ok := pinnedSpecs[key]
+			for _, pass := range []struct {
+				name string
+				sc   engine.Scenario
+			}{{"cold", cold}, {"warm", sc}, {"warm again", sc}} {
+				if got := specPinOf(t, pass.sc); !ok || got != want {
+					t.Errorf("%s fingerprint: got %q: {%s}, want {%s}", pass.name, key, pinString(got), pinString(want))
 				}
-				if err := json.NewEncoder(&reports).Encode(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := specPin{
-				trace:    h,
-				makespan: math.Float64bits(rep.Makespan),
-				energy:   math.Float64bits(rep.Energy),
-				mean:     math.Float64bits(est.Time.Mean),
-				stddev:   math.Float64bits(est.Time.StdDev),
-				reports:  uint64(detect.FNV64{}.Sum(reports.Bytes())),
-			}
-			if want, ok := pinnedSpecs[key]; !ok || got != want {
-				t.Errorf("fingerprint: got %q: {%s}, want {%s}", key, pinString(got), pinString(want))
 			}
 		})
+	}
+}
+
+// specPinOf computes sc's fingerprint.
+func specPinOf(t *testing.T, sc engine.Scenario) specPin {
+	t.Helper()
+	const seed = 7
+	sc.Trace = trace.New(0)
+	rep, err := sc.Run(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := traceHash(t, sc.Trace)
+	sc.Trace = nil
+	est, err := engine.ReplicateScenario(sc, seed, 30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports bytes.Buffer
+	for s := uint64(1); s <= 64; s++ {
+		r, err := sc.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&reports).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return specPin{
+		trace:    h,
+		makespan: math.Float64bits(rep.Makespan),
+		energy:   math.Float64bits(rep.Energy),
+		mean:     math.Float64bits(est.Time.Mean),
+		stddev:   math.Float64bits(est.Time.StdDev),
+		reports:  uint64(detect.FNV64{}.Sum(reports.Bytes())),
 	}
 }
 

@@ -34,7 +34,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.m2 += float64(delta * (x - w.mean))
 }
 
 // AddAll folds a slice of observations.
@@ -170,30 +170,38 @@ func zQuantile(p float64) float64 {
 	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
 		-2.759285104469687e+02, 1.383577518672690e+02,
 		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
+	b := [6]float64{-5.447609879822406e+01, 1.615858368580409e+02,
 		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
+		-1.328068155288572e+01, 1}
 	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
 		-2.400758277161838e+00, -2.549732539343734e+00,
 		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
+	d := [5]float64{7.784695709041462e-03, 3.224671290700398e-01,
+		2.445134137142996e+00, 3.754408661907416e+00, 1}
 	const pLow, pHigh = 0.02425, 1 - 0.02425
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return horner(q, c[:]...) / horner(q, d[:]...)
 	case p <= pHigh:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		return horner(r, a[:]...) * q / horner(r, b[:]...)
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return -horner(q, c[:]...) / horner(q, d[:]...)
 	}
+}
+
+// horner evaluates the polynomial with coefficients cs, highest degree
+// first, at x in Horner's order. Each product is rounded before its add
+// (float64), so no target fuses the two into one multiply-add.
+func horner(x float64, cs ...float64) float64 {
+	s := cs[0]
+	for _, c := range cs[1:] {
+		s = float64(s*x) + c
+	}
+	return s
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
@@ -212,14 +220,14 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Median is Quantile(xs, 0.5).
@@ -266,7 +274,7 @@ func (h *Histogram) N() int64 { return h.n }
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + (float64(i)+0.5)*width
+	return h.Lo + float64((float64(i)+0.5)*width)
 }
 
 // Quantile reads the q-th quantile (0 ≤ q ≤ 1) off the cumulative bin
@@ -322,14 +330,14 @@ func LinearFit(x, y []float64) (slope, intercept float64) {
 	for i := range x {
 		sx += x[i]
 		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
+		sxx += float64(x[i] * x[i])
+		sxy += float64(x[i] * y[i])
 	}
-	denom := n*sxx - sx*sx
+	denom := float64(n*sxx) - float64(sx*sx)
 	if denom == 0 {
 		panic("stats: degenerate x values in LinearFit")
 	}
-	slope = (n*sxy - sx*sy) / denom
-	intercept = (sy - slope*sx) / n
+	slope = (float64(n*sxy) - float64(sx*sy)) / denom
+	intercept = (sy - float64(slope*sx)) / n
 	return slope, intercept
 }
