@@ -170,6 +170,18 @@ func TestReferenceMemoKey(t *testing.T) {
 	if c := ref(with(digests, func(sc *Scenario) { sc.Detector = detect.CRC32C{} })); c == d || c.digests[0] == d.digests[0] {
 		t.Error("digest form: another detector shared the trajectory")
 	}
+	// A detector == cannot compare would panic as a key: the digest form
+	// under one is stepped per call and never held.
+	unkeyed := with(digests, func(sc *Scenario) { sc.Detector = uncomparableDetector{} })
+	if a, b := ref(unkeyed), ref(unkeyed); a == b || a.digests[0] != d.digests[0] {
+		t.Error("digest form: a detector == cannot compare was memoized, or digested differently")
+	}
+}
+
+// uncomparableDetector is FNV-64a behind a type == cannot compare.
+type uncomparableDetector struct {
+	detect.FNV64
+	_ []byte
 }
 
 // TestReferenceMemoHitAllocatesNothing: a lookup that finds its entry

@@ -17,8 +17,8 @@ import (
 )
 
 // The App verifies each pattern against a clean reference trajectory
-// computed once per call (reference.build): the clean states, or their
-// digests above maxReferenceBytes. Before that it advanced,
+// stepped once (newReference): the clean states, or their digests
+// above maxReferenceBytes. Before that it advanced,
 // serialized and digested a clean replica in lockstep with every run.
 // This file keeps that live-replica discipline as the reference
 // implementation and requires the two to agree on every report, float
@@ -528,9 +528,8 @@ func (d budgetDetector) Sum(state []byte) detect.Digest {
 // TestReferenceSharedAcrossWorkers replicates concurrently from several
 // goroutines — whole fan-outs whose workers all read their call's
 // reference, and chunk calls beside them — and requires every estimate
-// to equal the sequential one. Under -race it also proves each call's
-// reference is read-only while workers hold it and is not recycled
-// into another call before they finish.
+// to equal the sequential one. Under -race it also proves a reference
+// stays read-only while the workers and calls that share it run.
 func TestReferenceSharedAcrossWorkers(t *testing.T) {
 	const seed, n = 23, 12
 	// The above-cap case shares its digests exactly as the others share

@@ -357,9 +357,9 @@ func TestReplicateScenarioChunkBitExact(t *testing.T) {
 	}
 }
 
-// TestRenewalPerNodeErrorsViaInterface pins that App.finish picks up
-// per-node attribution from any process exposing PerNodeErrors, not
-// just *PerNodeFaults.
+// TestRenewalPerNodeErrorsViaInterface pins that a single run's report
+// picks up per-node attribution from any process exposing
+// PerNodeErrors, not just *PerNodeFaults.
 func TestRenewalPerNodeErrorsViaInterface(t *testing.T) {
 	const nodes = 2
 	sc := testScenario()

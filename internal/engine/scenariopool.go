@@ -11,12 +11,12 @@ import (
 
 // This file is the one place a Scenario run is assembled: Run, RunOn
 // and every replication build a campaign (the pieces shared by all of
-// its runs, including the clean reference trajectory every run verifies
-// against, which the process steps once per workload and pattern sequence),
-// take a scratch of per-run pieces from a sync.Pool, and reset each
-// component in place to the exact state a fresh construction would
-// have: every fault process, renewal channels included, reseeds its
-// streams in place. Building the whole App fresh per run — workload
+// its runs, including the clean reference trajectory every run
+// verifies against, which the process steps once per workload and
+// pattern sequence), take a scratch of per-run pieces from a
+// sync.Pool, and reset each component in place to the exact state a
+// fresh construction would have: every fault process, renewal channels
+// included, reseeds its streams in place. Building the whole App fresh per run — workload
 // pair, fault process, checkpoint tier, meter, verifier — costs ~2.4k
 // allocations per 50-run estimate. The executions are bit-identical to
 // that fresh construction, which the tests keep as their reference and
@@ -60,38 +60,39 @@ func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 		proto: proto,
 		wl:    proto.identity(),
 	}
-	if err := c.buildRef(); err != nil {
-		return nil, err
+	if !sc.SkipVerification && sc.Partial == nil {
+		var err error
+		if c.ref, err = c.reference(); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
 
-// buildRef finds the campaign's reference trajectory in referenceMemo,
-// or steps it from the initial state on a pooled scratch workload. Only
-// a witnessed workload is memoized: a fingerprint-less one (a NewRunner
-// fake) gets a trajectory of its own on every call.
-func (c *scenarioCampaign) buildRef() error {
-	if c.sc.SkipVerification || c.sc.Partial != nil {
-		return nil
-	}
+// reference returns the campaign's clean trajectory: the one
+// referenceMemo holds for its key, or one stepped from the initial
+// state on a pooled scratch workload. Only a witnessed workload is
+// memoized; a fingerprint-less one (a NewRunner fake) gets a trajectory
+// of its own on every call.
+func (c *scenarioCampaign) reference() (*reference, error) {
 	det := detect.OrDefault(c.sc.Detector)
 	var h uint64
 	if c.wl.ok {
 		h = memoHash(&c.wl, c.sizes)
-		if c.ref = lookupReference(h, &c.wl, c.sizes, det); c.ref != nil {
-			return nil
+		if r := lookupReference(h, &c.wl, c.sizes, det); r != nil {
+			return r, nil
 		}
 	}
 	s := getScratch(c)
 	defer putScratch(s)
 	if err := s.main.restore(c.wl.state); err != nil {
-		return fmt.Errorf("engine: reset reference workload: %w", err)
+		return nil, fmt.Errorf("engine: reset reference workload: %w", err)
 	}
-	c.ref = newReference(s.main, c.sizes, det)
+	r := newReference(s.main, c.sizes, det)
 	if c.wl.ok {
-		c.ref = storeReference(h, &c.wl, c.sizes, det, c.ref)
+		r = storeReference(h, &c.wl, c.sizes, det, r)
 	}
-	return nil
+	return r, nil
 }
 
 // scenarioScratch is the pooled per-chunk working set of scenario

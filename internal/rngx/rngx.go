@@ -175,10 +175,10 @@ type Stream struct {
 	seed uint64
 
 	// idx/indexed carry the numeric suffix of a stream derived by
-	// ReseedIndexed; Name() re-materializes the full
-	// name only when asked (cold path), keeping the hot path free of
-	// string building. suffix is the trailing fixed part set by
-	// ReseedIndexedSuffix (empty for plain indexed streams).
+	// ReseedIndexed; Name() re-materializes the full name only when
+	// asked (cold path), keeping the hot path free of string building.
+	// suffix is the trailing fixed part set by ReseedIndexedSuffix
+	// (empty for plain indexed streams).
 	idx     int
 	indexed bool
 	suffix  string
