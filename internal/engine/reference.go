@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"hash/maphash"
 	"math"
 	"reflect"
@@ -73,37 +72,12 @@ func (r *reference) verify(v *detect.Verifier, k int, state []byte) bool {
 	return v.Verify(state, r.state(k))
 }
 
-// workloadID witnesses which workload a never-advanced runner is: its
-// name, its constructor fingerprint and its serialized initial state.
-// Two runners with the same witness step identically, so a workload
-// cached for one, or a clean trajectory stepped from one, serves the
-// other. Only kernels that expose a fingerprint have a witness (ok): a
-// name and a state alone cannot prove two kernels interchangeable
-// (Heat's diffusion coefficient appears in neither).
-type workloadID struct {
-	name  string
-	fp    uint64
-	state []byte
-	ok    bool
-}
-
-// identity returns the witness of the never-advanced runner r, with its
-// own copy of the state.
-func (r *Runner) identity() workloadID {
-	return workloadID{name: r.name, fp: r.fp, state: append([]byte(nil), r.state()...), ok: r.hasFP}
-}
-
-// same reports whether id and o witness one interchangeable workload.
-func (id *workloadID) same(o *workloadID) bool {
-	return id.ok && o.ok && id.fp == o.fp && id.name == o.name && bytes.Equal(id.state, o.state)
-}
-
 // referenceMemoBytes bounds what referenceMemo holds, keys included:
 // four trajectories at maxReferenceBytes, or about eighty at the
-// simulate shape. A daemon needs one trajectory per spec and pattern
-// plan it serves, so the bound only guards pathological use; when an
-// entry would cross it the memo evicts everything rather than tracking
-// recency, as core.GridFor's cache does.
+// simulate shape. A daemon needs one trajectory per workload and
+// pattern sequence it serves, so the bound only guards pathological
+// use; when an entry would cross it the memo evicts everything rather
+// than tracking recency, as core.GridFor's cache does.
 const referenceMemoBytes = 4 * maxReferenceBytes
 
 // referenceMemo holds every clean trajectory a scenario campaign has

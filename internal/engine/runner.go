@@ -1,6 +1,10 @@
 package engine
 
-import "respeed/internal/workload"
+import (
+	"bytes"
+
+	"respeed/internal/workload"
+)
 
 // Runner adapts any workload-like value for the full-stack executor.
 // In practice callers pass package workload kernels through
@@ -22,10 +26,8 @@ type Runner struct {
 	snapped bool
 
 	// fp identifies the wrapped kernel's constructor parameters when the
-	// kernel exposes a Fingerprint method (hasFP). The pooled scenario
-	// path only reuses cached workload instances across runs when names,
-	// fingerprints and serialized state all match; runners without a
-	// fingerprint are rebuilt instead.
+	// kernel exposes a Fingerprint method (hasFP); it is part of the
+	// runner's witness (workloadID).
 	fp    uint64
 	hasFP bool
 }
@@ -81,4 +83,29 @@ func (r *Runner) state() []byte {
 		r.snapped = true
 	}
 	return r.snap
+}
+
+// workloadID witnesses which workload a never-advanced runner is: its
+// name, its constructor fingerprint and its serialized initial state.
+// Two runners with the same witness step identically, so a workload
+// cached for one, or a clean trajectory stepped from one, serves the
+// other. Only kernels that expose a fingerprint have a witness (ok): a
+// name and a state alone cannot prove two kernels interchangeable
+// (Heat's diffusion coefficient appears in neither).
+type workloadID struct {
+	name  string
+	fp    uint64
+	state []byte
+	ok    bool
+}
+
+// identity returns the witness of the never-advanced runner r, with its
+// own copy of the state.
+func (r *Runner) identity() workloadID {
+	return workloadID{name: r.name, fp: r.fp, state: append([]byte(nil), r.state()...), ok: r.hasFP}
+}
+
+// same reports whether id and o witness one interchangeable workload.
+func (id *workloadID) same(o *workloadID) bool {
+	return id.ok && o.ok && id.fp == o.fp && id.name == o.name && bytes.Equal(id.state, o.state)
 }
