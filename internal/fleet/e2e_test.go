@@ -139,20 +139,22 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill worker 1 once some shards have landed but well before the
-	// campaign is done: its in-flight shards die with it.
+	// Kill worker 1 once some shards have landed, well before the
+	// campaign is done, and while it holds a shard: that shard dies with
+	// it. A kill between shards would exercise nothing.
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		cur, err := m.Status(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cur.ShardsDone >= 4 {
+		// Snapshot lists the peers in configuration order: w1 first.
+		if cur.ShardsDone >= 4 && coord.Snapshot()[0].InFlight >= 1 {
 			if cur.ShardsDone >= cur.ShardsTotal {
 				t.Fatalf("campaign finished (%d/%d shards) before the kill — enlarge e2eCampaign",
 					cur.ShardsDone, cur.ShardsTotal)
 			}
-			t.Logf("killing %s at %d/%d shards", w1URL, cur.ShardsDone, cur.ShardsTotal)
+			t.Logf("killing %s at %d/%d shards, a shard in flight", w1URL, cur.ShardsDone, cur.ShardsTotal)
 			if err := w1.Process.Kill(); err != nil {
 				t.Fatal(err)
 			}

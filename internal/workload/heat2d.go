@@ -1,15 +1,16 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"respeed/internal/mathx"
 )
 
 // Heat2D is an explicit 2-D heat-equation stencil on an n×n grid — the
 // larger-state sibling of Heat, sized like the multi-megabyte checkpoint
 // images the paper's platforms (Table 1) were measured on. One work unit
-// = one five-point sweep.
+// = one five-point sweep. On amd64 the sweep runs in SSE2 assembly, two
+// cells per instruction, with sweepGeneric's bits (sweep_amd64.s).
 type Heat2D struct {
 	n     int
 	grid  []float64
@@ -37,8 +38,8 @@ func NewHeat2D(n int, alpha float64) *Heat2D {
 			y := float64(j)/float64(n-1) - 0.3
 			x2 := float64(i)/float64(n-1) - 0.75
 			y2 := float64(j)/float64(n-1) - 0.75
-			h.grid[i*n+j] = math.Exp(-40*(float64(x*x)+float64(y*y))) +
-				float64(0.5*math.Exp(-60*(float64(x2*x2)+float64(y2*y2))))
+			h.grid[i*n+j] = mathx.Exp(-40*(float64(x*x)+float64(y*y))) +
+				float64(0.5*mathx.Exp(-60*(float64(x2*x2)+float64(y2*y2))))
 		}
 	}
 	return h
@@ -55,25 +56,36 @@ func (h *Heat2D) Advance(units float64) {
 	h.frac += units
 	steps := int(h.frac)
 	h.frac -= float64(steps)
-	n, alpha := h.n, h.alpha
+	n := h.n
 	for s := 0; s < steps; s++ {
 		grid, buf := h.grid, h.buf
-		// Boundary rows/cols are Dirichlet (copied).
+		// Boundary rows are Dirichlet (copied); sweep copies the
+		// boundary columns.
 		copy(buf[:n], grid[:n])
 		copy(buf[(n-1)*n:], grid[(n-1)*n:])
-		for i := n; i < (n-1)*n; i += n {
-			// One row and its neighbours, swept without per-cell index
-			// arithmetic, in the historical float operation order.
-			up, mid, down, out := grid[i-n:i], grid[i:i+n], grid[i+n:i+2*n], buf[i:i+n]
-			out[0], out[n-1] = mid[0], mid[n-1]
-			for j := 1; j < n-1; j++ {
-				c := mid[j]
-				out[j] = c + float64(alpha*(up[j]+down[j]+mid[j-1]+mid[j+1]-float64(4*c)))
-			}
-		}
+		sweep(buf, grid, n, h.alpha)
 		h.grid, h.buf = buf, grid
 	}
 	h.done += units
+}
+
+// sweepGeneric writes the interior rows of buf, the n×n grid after one
+// sweep: each cell c with neighbours up, down, left and right becomes
+// c + alpha*((((up+down)+left)+right) − 4c), in that float order, and
+// the first and last cells of each row are copied. It is the sweep on
+// every GOARCH but amd64, and the reference TestSweepMatchesGeneric
+// holds the amd64 routine to.
+func sweepGeneric(buf, grid []float64, n int, alpha float64) {
+	for i := n; i < (n-1)*n; i += n {
+		// One row and its neighbours, swept without per-cell index
+		// arithmetic.
+		up, mid, down, out := grid[i-n:i], grid[i:i+n], grid[i+n:i+2*n], buf[i:i+n]
+		out[0], out[n-1] = mid[0], mid[n-1]
+		for j := 1; j < n-1; j++ {
+			c := mid[j]
+			out[j] = c + float64(alpha*(up[j]+down[j]+mid[j-1]+mid[j+1]-float64(4*c)))
+		}
+	}
 }
 
 // Progress implements Workload.
@@ -81,30 +93,13 @@ func (h *Heat2D) Progress() float64 { return h.done }
 
 // State implements Workload.
 func (h *Heat2D) State() []byte {
-	need := 8 * (len(h.grid) + 2)
-	if cap(h.snap) < need {
-		h.snap = make([]byte, need)
-	}
-	h.snap = h.snap[:need]
-	for i, v := range h.grid {
-		binary.LittleEndian.PutUint64(h.snap[8*i:], math.Float64bits(v))
-	}
-	binary.LittleEndian.PutUint64(h.snap[8*len(h.grid):], math.Float64bits(h.frac))
-	binary.LittleEndian.PutUint64(h.snap[8*(len(h.grid)+1):], math.Float64bits(h.done))
+	h.snap = encodeState(h.snap, h.grid, h.frac, h.done)
 	return h.snap
 }
 
 // Restore implements Workload.
 func (h *Heat2D) Restore(state []byte) error {
-	if len(state) != 8*(len(h.grid)+2) {
-		return ErrBadSnapshot
-	}
-	for i := range h.grid {
-		h.grid[i] = math.Float64frombits(binary.LittleEndian.Uint64(state[8*i:]))
-	}
-	h.frac = math.Float64frombits(binary.LittleEndian.Uint64(state[8*len(h.grid):]))
-	h.done = math.Float64frombits(binary.LittleEndian.Uint64(state[8*(len(h.grid)+1):]))
-	return nil
+	return decodeState(state, h.grid, &h.frac, &h.done)
 }
 
 // Clone implements Workload.

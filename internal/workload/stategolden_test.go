@@ -16,8 +16,10 @@ var goldenSizes = []float64{1, 0.5, 2.25, 3, 1.0 / 3, 5, 0.75, 7, 2.7, 11}
 // Verification compares live and reference states that the same code
 // computed, so no engine test sees a change in a kernel's arithmetic —
 // a fused multiply-add or a reordered sum changes these constants and
-// nothing else. They must hold on every GOARCH (see the fusion check in
-// CI).
+// nothing else. They hold on every GOARCH and CPU: CI runs them under
+// GOARCH=386, which builds sweepGeneric and the generic encoder instead
+// of the amd64 paths, and under GODEBUG=cpu.fma=off, and fails on any
+// fused instruction in the package's arm64 listing.
 func TestStateGolden(t *testing.T) {
 	cases := []struct {
 		build func() Workload

@@ -6,11 +6,17 @@
 // checkpointing, and restores it on recovery — so the simulator's
 // checkpoint/verify/recover path exercises real data, not placeholders.
 //
-// The kernels compute the same bits on every GOARCH. Go may fuse x*y+z
-// into one multiply-add instruction (arm64 does), so every product that
-// feeds a sum is wrapped in an explicit float64 conversion, the
-// language's barrier against fusion. TestStateGolden pins the bits, and
-// CI fails on any fused instruction in the package's arm64 listing.
+// The kernels compute the same bits on every GOARCH and CPU. Go may fuse
+// x*y+z into one multiply-add instruction (arm64 does), so every product
+// that feeds a sum is wrapped in an explicit float64 conversion, the
+// language's barrier against fusion. Initial states use mathx.Exp, not
+// math.Exp, whose last bit depends on the GOARCH and, on amd64, on
+// whether the CPU has FMA. On amd64 the 2-D sweep is SSE2 assembly and
+// the grid kernels serialize by copying memory; elsewhere sweepGeneric
+// and the generic encoder run, and tests hold the two paths to the same
+// bits. TestStateGolden pins the bits; CI runs it under GOARCH=386 and
+// GODEBUG=cpu.fma=off, and fails on any fused instruction in the
+// package's arm64 listing.
 package workload
 
 import (
@@ -18,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"respeed/internal/mathx"
 )
 
 // Workload is a divisible-load computation with checkpointable state.
@@ -53,6 +61,48 @@ type Workload interface {
 // ErrBadSnapshot is returned by Restore for malformed snapshots.
 var ErrBadSnapshot = errors.New("workload: snapshot size mismatch")
 
+// encodeState serializes a grid kernel's state into snap, grown as
+// needed: the values, then frac and done, as little-endian float64 bits.
+func encodeState(snap []byte, vals []float64, frac, done float64) []byte {
+	need := 8 * (len(vals) + 2)
+	if cap(snap) < need {
+		snap = make([]byte, need)
+	}
+	snap = snap[:need]
+	putFloats(snap, vals)
+	binary.LittleEndian.PutUint64(snap[8*len(vals):], math.Float64bits(frac))
+	binary.LittleEndian.PutUint64(snap[8*len(vals)+8:], math.Float64bits(done))
+	return snap
+}
+
+// decodeState is encodeState's inverse. A state of another length
+// leaves everything as it was and returns ErrBadSnapshot.
+func decodeState(state []byte, vals []float64, frac, done *float64) error {
+	if len(state) != 8*(len(vals)+2) {
+		return ErrBadSnapshot
+	}
+	getFloats(vals, state)
+	*frac = math.Float64frombits(binary.LittleEndian.Uint64(state[8*len(vals):]))
+	*done = math.Float64frombits(binary.LittleEndian.Uint64(state[8*len(vals)+8:]))
+	return nil
+}
+
+// putFloatsGeneric writes vals into dst as little-endian float64 bits,
+// one value at a time. It is putFloats on every GOARCH but amd64, and
+// the reference TestStateBytesMatchGeneric holds the amd64 copy to.
+func putFloatsGeneric(dst []byte, vals []float64) {
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+// getFloatsGeneric is putFloatsGeneric's inverse.
+func getFloatsGeneric(vals []float64, src []byte) {
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
 // --- 1-D heat diffusion stencil ---
 
 // Heat is an explicit 1-D heat-equation stencil: the canonical iterative
@@ -80,7 +130,7 @@ func NewHeat(n int, alpha float64) *Heat {
 	h := &Heat{grid: make([]float64, n), buf: make([]float64, n), alpha: alpha}
 	for i := range h.grid {
 		x := float64(i) / float64(n-1)
-		h.grid[i] = math.Exp(-50 * (x - 0.5) * (x - 0.5)) // Gaussian pulse
+		h.grid[i] = mathx.Exp(-50 * (x - 0.5) * (x - 0.5)) // Gaussian pulse
 	}
 	return h
 }
@@ -113,30 +163,13 @@ func (h *Heat) Progress() float64 { return h.done }
 // State implements Workload: grid cells plus the progress counters,
 // little-endian float64s.
 func (h *Heat) State() []byte {
-	need := 8 * (len(h.grid) + 2)
-	if cap(h.snapshot) < need {
-		h.snapshot = make([]byte, need)
-	}
-	h.snapshot = h.snapshot[:need]
-	for i, v := range h.grid {
-		binary.LittleEndian.PutUint64(h.snapshot[8*i:], math.Float64bits(v))
-	}
-	binary.LittleEndian.PutUint64(h.snapshot[8*len(h.grid):], math.Float64bits(h.frac))
-	binary.LittleEndian.PutUint64(h.snapshot[8*(len(h.grid)+1):], math.Float64bits(h.done))
+	h.snapshot = encodeState(h.snapshot, h.grid, h.frac, h.done)
 	return h.snapshot
 }
 
 // Restore implements Workload.
 func (h *Heat) Restore(state []byte) error {
-	if len(state) != 8*(len(h.grid)+2) {
-		return ErrBadSnapshot
-	}
-	for i := range h.grid {
-		h.grid[i] = math.Float64frombits(binary.LittleEndian.Uint64(state[8*i:]))
-	}
-	h.frac = math.Float64frombits(binary.LittleEndian.Uint64(state[8*len(h.grid):]))
-	h.done = math.Float64frombits(binary.LittleEndian.Uint64(state[8*(len(h.grid)+1):]))
-	return nil
+	return decodeState(state, h.grid, &h.frac, &h.done)
 }
 
 // Clone implements Workload.
@@ -325,30 +358,13 @@ func (m *MatVec) Progress() float64 { return m.done }
 
 // State implements Workload.
 func (m *MatVec) State() []byte {
-	need := 8 * (len(m.vec) + 2)
-	if cap(m.snapshot) < need {
-		m.snapshot = make([]byte, need)
-	}
-	m.snapshot = m.snapshot[:need]
-	for i, v := range m.vec {
-		binary.LittleEndian.PutUint64(m.snapshot[8*i:], math.Float64bits(v))
-	}
-	binary.LittleEndian.PutUint64(m.snapshot[8*len(m.vec):], math.Float64bits(m.frac))
-	binary.LittleEndian.PutUint64(m.snapshot[8*(len(m.vec)+1):], math.Float64bits(m.done))
+	m.snapshot = encodeState(m.snapshot, m.vec, m.frac, m.done)
 	return m.snapshot
 }
 
 // Restore implements Workload.
 func (m *MatVec) Restore(state []byte) error {
-	if len(state) != 8*(len(m.vec)+2) {
-		return ErrBadSnapshot
-	}
-	for i := range m.vec {
-		m.vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(state[8*i:]))
-	}
-	m.frac = math.Float64frombits(binary.LittleEndian.Uint64(state[8*len(m.vec):]))
-	m.done = math.Float64frombits(binary.LittleEndian.Uint64(state[8*(len(m.vec)+1):]))
-	return nil
+	return decodeState(state, m.vec, &m.frac, &m.done)
 }
 
 // Clone implements Workload.
