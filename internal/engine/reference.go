@@ -80,6 +80,13 @@ func (r *reference) verify(v *detect.Verifier, k int, state []byte) bool {
 // than tracking recency, as core.GridFor's cache does.
 const referenceMemoBytes = 4 * maxReferenceBytes
 
+// MaxPatterns bounds the patterns of one run: the memo key of its
+// trajectory holds an 8-byte size per pattern and the digest form an
+// 8-byte digest, so a longer run could never be memoized. Below it
+// PatternSizes also terminates, since subtracting w from at most
+// MaxPatterns·w always shrinks what remains.
+const MaxPatterns = referenceMemoBytes / 16
+
 // referenceMemo holds every clean trajectory a scenario campaign has
 // stepped, once per process per key: a trajectory is a pure function
 // of the workload (its witness), the pattern sizes and, for the digest

@@ -180,9 +180,3 @@ func Derivative(f func(float64) float64, x float64) float64 {
 	h := 1e-6 * math.Max(1, math.Abs(x))
 	return (f(x+h) - f(x-h)) / (2 * h)
 }
-
-// SecondDerivative estimates f”(x) with a symmetric second difference.
-func SecondDerivative(f func(float64) float64, x float64) float64 {
-	h := 1e-4 * math.Max(1, math.Abs(x))
-	return (f(x+h) - 2*f(x) + f(x-h)) / (h * h)
-}

@@ -205,11 +205,3 @@ func TestDerivative(t *testing.T) {
 		t.Errorf("Derivative = %g, want 12", got)
 	}
 }
-
-func TestSecondDerivative(t *testing.T) {
-	// d²/dx² x³ = 6x at x=2 → 12.
-	got := SecondDerivative(func(x float64) float64 { return x * x * x }, 2)
-	if math.Abs(got-12) > 1e-2 {
-		t.Errorf("SecondDerivative = %g, want 12", got)
-	}
-}

@@ -2,38 +2,6 @@ package mathx
 
 import "math"
 
-// invPhi is 1/φ, the golden-section step ratio.
-const invPhi = 0.6180339887498949
-
-// GoldenSection minimizes a unimodal function f on [a, b] to absolute
-// x-tolerance tol and returns the minimizing abscissa. For non-unimodal f
-// it converges to some local minimum inside the interval. The model's
-// overhead curves x/W + y + z*W are strictly convex in W > 0, so golden
-// section is globally correct there.
-func GoldenSection(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if !(a < b) {
-		return 0, ErrInvalidInterval
-	}
-	if tol <= 0 {
-		tol = 1e-10 * math.Max(1, math.Abs(b))
-	}
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < 400 && b-a > tol; i++ {
-		if f1 <= f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return a + (b-a)/2, nil
-}
-
 // BrentMin minimizes a unimodal function on [a, b] with Brent's
 // parabolic-interpolation method. It converges superlinearly on smooth
 // objectives and falls back to golden-section steps otherwise. Returns

@@ -51,12 +51,6 @@ func QuadraticRoots(a, b, c float64) (x1, x2 float64, err error) {
 	return r1, r2, nil
 }
 
-// Discriminant returns b^2 - 4ac evaluated with an FMA for the crucial
-// b*b term. Exposed for feasibility checks that need the sign only.
-func Discriminant(a, b, c float64) float64 {
-	return math.FMA(b, b, -4*a*c)
-}
-
 // Cbrt is a readability alias of math.Cbrt used by the Theorem 2 law.
 func Cbrt(x float64) float64 { return math.Cbrt(x) }
 

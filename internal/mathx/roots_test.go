@@ -127,15 +127,6 @@ func TestQuadraticDoubleRoot(t *testing.T) {
 	}
 }
 
-func TestDiscriminantSign(t *testing.T) {
-	if Discriminant(1, 0, 1) >= 0 {
-		t.Error("x²+1 should have negative discriminant")
-	}
-	if Discriminant(1, -3, 2) <= 0 {
-		t.Error("x²-3x+2 should have positive discriminant")
-	}
-}
-
 func TestBrentRootPolynomial(t *testing.T) {
 	f := func(x float64) float64 { return x*x*x - 2*x - 5 } // root ≈ 2.0945514815
 	x, err := BrentRoot(f, 2, 3, 1e-12)
@@ -199,17 +190,6 @@ func TestBisectAgreesWithBrent(t *testing.T) {
 	}
 }
 
-func TestGoldenSectionQuadratic(t *testing.T) {
-	f := func(x float64) float64 { return (x - 3.7) * (x - 3.7) }
-	x, err := GoldenSection(f, 0, 10, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-3.7) > 1e-8 {
-		t.Errorf("min at %g, want 3.7", x)
-	}
-}
-
 func TestBrentMinQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return 2*(x-1.25)*(x-1.25) + 7 }
 	x, err := BrentMin(f, -10, 10, 1e-12)
@@ -253,12 +233,6 @@ func TestMinimizeConvex1D(t *testing.T) {
 func TestMinimizeConvex1DRejectsNonPositiveStart(t *testing.T) {
 	_, err := MinimizeConvex1D(func(x float64) float64 { return x * x }, 0, 1e-9)
 	if err != ErrInvalidInterval {
-		t.Errorf("want ErrInvalidInterval, got %v", err)
-	}
-}
-
-func TestGoldenSectionInvalid(t *testing.T) {
-	if _, err := GoldenSection(func(x float64) float64 { return x }, 1, 0, 1e-9); err != ErrInvalidInterval {
 		t.Errorf("want ErrInvalidInterval, got %v", err)
 	}
 }

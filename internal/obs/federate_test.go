@@ -217,3 +217,42 @@ func TestFederationVerbatimSource(t *testing.T) {
 		t.Fatalf("verbatim source must not be relabeled: %+v", out.Samples[0].Labels)
 	}
 }
+
+// TestFederationMixedBucketLayouts: peers running different builds may
+// bucket one histogram family differently (17 bounds from 100 µs, or
+// 23 from 1 µs). Histogram invariants are checked per series, and the
+// peer label keeps the two layouts in separate series, so the merge
+// still strict-parses with every bucket of both.
+func TestFederationMixedBucketLayouts(t *testing.T) {
+	layouts := map[string][]float64{
+		"http://old": DurationBuckets()[6:],
+		"http://new": DurationBuckets(),
+	}
+	var sources []FederatedSource
+	for peer, uppers := range layouts {
+		r := NewRegistry()
+		h := r.NewHistogramVec(Opts{Name: "respeed_http_request_duration_seconds",
+			Help: "Request latency.", Labels: []string{"endpoint"}}, uppers).With("/v1/solve")
+		for _, v := range []float64{2e-6, 3e-4, 0.02, 45} {
+			h.Observe(v)
+		}
+		sources = append(sources, FederatedSource{Peer: peer, Exp: scrape(t, r)})
+	}
+	var merged bytes.Buffer
+	if err := WriteFederated(&merged, sources); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ParseExposition(merged.Bytes())
+	if err != nil {
+		t.Fatalf("mixed layouts do not strict-parse: %v\n%s", err, merged.String())
+	}
+	buckets := map[string]int{}
+	for _, s := range out.Find("respeed_http_request_duration_seconds_bucket") {
+		buckets[s.Labels["peer"]]++
+	}
+	for peer, uppers := range layouts {
+		if got, want := buckets[peer], len(uppers)+1; got != want {
+			t.Errorf("%s: %d buckets merged, want %d", peer, got, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"os"
 	"strings"
 	"sync"
@@ -355,5 +356,117 @@ func TestBuildInfoAndDebugHandler(t *testing.T) {
 	}
 	if DebugHandler() == nil {
 		t.Error("DebugHandler nil")
+	}
+}
+
+func TestHistogramMinMax(t *testing.T) {
+	h := NewHistogram([]float64{1, 2})
+	if s := h.Snapshot(); s.Min != 0 || s.Max != 0 {
+		t.Errorf("empty extremes = %g, %g; want 0, 0", s.Min, s.Max)
+	}
+	for _, v := range []float64{1.5, -3, 7, 0.25} {
+		h.Observe(v)
+	}
+	if s := h.Snapshot(); s.Min != -3 || s.Max != 7 {
+		t.Errorf("extremes = %g, %g; want -3, 7", s.Min, s.Max)
+	}
+	// The extremes feed Quantile only; the exposition prints no series
+	// for them.
+	r := NewRegistry()
+	r.RegisterHistogram(Opts{Name: "mm_seconds", Help: "x"}, h)
+	for _, s := range scrape(t, r).Samples {
+		if s.Name != "mm_seconds_bucket" && s.Name != "mm_seconds_sum" && s.Name != "mm_seconds_count" {
+			t.Errorf("unexpected sample %s", s.Name)
+		}
+	}
+}
+
+func TestHistogramEdgeValue(t *testing.T) {
+	h := NewHistogram([]float64{1, 2})
+	h.Observe(2) // a value on the last bound belongs to it, not to +Inf
+	if s := h.Snapshot(); s.Cumulative[1] != 1 || s.Count != 1 {
+		t.Errorf("edge value misbucketed: %+v", s)
+	}
+}
+
+func TestHistogramQuantileEmpty(t *testing.T) {
+	s := NewHistogram(DurationBuckets()).Snapshot()
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := s.Quantile(q); !math.IsNaN(got) {
+			t.Errorf("Quantile(%g) on empty histogram = %g, want NaN", q, got)
+		}
+	}
+}
+
+func TestHistogramQuantileSingle(t *testing.T) {
+	h := NewHistogram(DurationBuckets())
+	h.Observe(3.2e-3)
+	s := h.Snapshot()
+	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
+		if got := s.Quantile(q); got != 3.2e-3 {
+			t.Errorf("Quantile(%g) = %g, want the single observation 3.2e-3", q, got)
+		}
+	}
+}
+
+func TestHistogramQuantileClamped(t *testing.T) {
+	// Two observations in the first bucket, one above the last bound:
+	// the median interpolates inside the first bucket, and a rank in the
+	// +Inf bucket answers the last finite bound.
+	h := NewHistogram([]float64{1, 10})
+	for _, v := range []float64{0.5, 0.7, 50} {
+		h.Observe(v)
+	}
+	s := h.Snapshot()
+	if got := s.Quantile(0.5); got != 0.75 {
+		t.Errorf("median = %g, want 0.75", got)
+	}
+	if got := s.Quantile(1); got != 10 {
+		t.Errorf("Quantile(1) = %g, want the last bound 10", got)
+	}
+	// Every observation above the last bound: the last bound lies below
+	// Min, so every quantile clamps to Min.
+	h2 := NewHistogram([]float64{1, 10})
+	h2.Observe(40)
+	h2.Observe(99)
+	s2 := h2.Snapshot()
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := s2.Quantile(q); got != 40 {
+			t.Errorf("all-over Quantile(%g) = %g, want Min=40", q, got)
+		}
+	}
+	// Clamped from above: one observation just past a bound cannot read
+	// the interpolated 1.
+	h3 := NewHistogram([]float64{0.5, 1})
+	h3.Observe(0.6)
+	h3.Observe(0.6)
+	if got := h3.Snapshot().Quantile(1); got != 0.6 {
+		t.Errorf("Quantile(1) = %g, want Max=0.6", got)
+	}
+}
+
+func TestHistogramQuantileMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		h := NewHistogram(DurationBuckets())
+		n := 1 + rng.Intn(500)
+		for i := 0; i < n; i++ {
+			h.Observe(math.Exp(3*rng.NormFloat64() - 7)) // spills past both edges
+		}
+		s := h.Snapshot()
+		prev := math.Inf(-1)
+		for q := 0.0; q <= 1.0; q += 0.01 {
+			got := s.Quantile(q)
+			if math.IsNaN(got) {
+				t.Fatalf("trial %d: Quantile(%g) = NaN on non-empty histogram", trial, q)
+			}
+			if got < prev {
+				t.Fatalf("trial %d: Quantile(%g) = %g < Quantile at lower level %g", trial, q, got, prev)
+			}
+			if got < s.Min || got > s.Max {
+				t.Fatalf("trial %d: Quantile(%g) = %g outside [%g,%g]", trial, q, got, s.Min, s.Max)
+			}
+			prev = got
+		}
 	}
 }

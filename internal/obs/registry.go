@@ -269,14 +269,17 @@ func (f *family) setFunc(fn func() float64, values []string) {
 // --- histograms ---
 
 // Histogram counts observations into cumulative ≤-buckets and tracks
-// their sum, Prometheus-style. Nil receivers no-op.
+// their sum, Prometheus-style, plus their extremes, which the
+// exposition does not print but Quantile clamps to. Nil receivers
+// no-op.
 type Histogram struct {
-	mu      sync.Mutex
-	uppers  []float64 // sorted upper bounds, +Inf excluded
-	counts  []uint64  // per-bucket (non-cumulative) counts
-	overInf uint64    // observations above the last bound
-	sum     float64
-	n       uint64
+	mu       sync.Mutex
+	uppers   []float64 // sorted upper bounds, +Inf excluded
+	counts   []uint64  // per-bucket (non-cumulative) counts
+	overInf  uint64    // observations above the last bound
+	sum      float64
+	n        uint64
+	min, max float64 // valid once n > 0
 }
 
 func newHistogram(uppers []float64) *Histogram {
@@ -311,6 +314,12 @@ func (h *Histogram) Observe(v float64) {
 	defer h.mu.Unlock()
 	h.n++
 	h.sum += v
+	if h.n == 1 || v < h.min {
+		h.min = v
+	}
+	if h.n == 1 || v > h.max {
+		h.max = v
+	}
 	for i, up := range h.uppers {
 		if v <= up {
 			h.counts[i]++
@@ -326,6 +335,32 @@ type HistogramSnapshot struct {
 	Cumulative []uint64  // cumulative counts per bound
 	Sum        float64
 	Count      uint64
+	Min, Max   float64 // extremes of the observations; 0 when Count is 0
+}
+
+// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) as Prometheus's
+// histogram_quantile does: it finds the bucket holding rank q·Count and
+// interpolates linearly inside it, taking 0 as the first bucket's lower
+// edge and the last finite bound for a rank in the +Inf bucket. The
+// estimate is then clamped to [Min, Max], which the buckets cannot
+// resolve. It returns NaN on an empty histogram.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(s.Count)
+	b := sort.Search(len(s.Cumulative), func(i int) bool {
+		return s.Cumulative[i] > 0 && float64(s.Cumulative[i]) >= rank
+	})
+	v := s.Uppers[len(s.Uppers)-1]
+	if b < len(s.Cumulative) {
+		lo, below := 0.0, uint64(0)
+		if b > 0 {
+			lo, below = s.Uppers[b-1], s.Cumulative[b-1]
+		}
+		v = lo + (s.Uppers[b]-lo)*(rank-float64(below))/float64(s.Cumulative[b]-below)
+	}
+	return min(max(v, s.Min), s.Max)
 }
 
 // Snapshot copies the histogram state.
@@ -340,6 +375,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Cumulative: make([]uint64, len(h.counts)),
 		Sum:        h.sum,
 		Count:      h.n,
+		Min:        h.min,
+		Max:        h.max,
 	}
 	var cum uint64
 	for i, c := range h.counts {
@@ -392,10 +429,12 @@ func (r *Registry) RegisterHistogram(o Opts, h *Histogram, values ...string) {
 }
 
 // DurationBuckets is a general-purpose latency bucket layout in
-// seconds, from 100 µs to 30 s.
+// seconds, from 1 µs to 30 s: a cached plan answer spends a few
+// microseconds in its handler.
 func DurationBuckets() []float64 {
-	return []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2,
-		5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+	return []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
+		5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1,
+		2.5, 5, 10, 30}
 }
 
 // addFloatBits atomically adds v to a float64 stored as uint64 bits.

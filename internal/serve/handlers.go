@@ -542,7 +542,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := jsonResponse(http.StatusOK, HealthReply{
 		Status:        "ok",
-		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
 		Build:         obs.ReadBuildInfo(),
 		Fleet:         s.fleetHealth(),
 	})

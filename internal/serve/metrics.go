@@ -2,77 +2,11 @@ package serve
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"respeed/internal/admit"
 	"respeed/internal/jobs"
-	"respeed/internal/stats"
 )
-
-// Latency histogram shape: log10(seconds) from 100 ns to 100 s, 20 bins
-// per decade. Quantiles are read off the cumulative bin counts, so they
-// are accurate to ~12% (half a bin) — plenty for serving dashboards.
-const (
-	latHistLo   = -7.0
-	latHistHi   = 2.0
-	latHistBins = 180
-)
-
-// endpointMetrics accumulates one endpoint's counters and latency
-// moments. Guarded by metrics.mu.
-type endpointMetrics struct {
-	requests    int64
-	errors      int64            // responses with status >= 400
-	cacheHits   int64            // served without computing (LRU hit or joined flight)
-	cacheMisses int64            // required a fresh solve
-	timeouts    int64            // gave up waiting (504)
-	latency     stats.Welford    // seconds
-	hist        *stats.Histogram // log10(seconds)
-}
-
-// metrics is the server-wide registry, reported by /metrics. It reuses
-// internal/stats: Welford for latency moments, Histogram for quantiles.
-type metrics struct {
-	mu        sync.Mutex
-	start     time.Time
-	endpoints map[string]*endpointMetrics
-}
-
-func newMetrics() *metrics {
-	return &metrics{start: time.Now(), endpoints: make(map[string]*endpointMetrics)}
-}
-
-// observe records one finished request.
-func (m *metrics) observe(endpoint string, elapsed time.Duration, cacheHit bool, status int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	em, ok := m.endpoints[endpoint]
-	if !ok {
-		em = &endpointMetrics{hist: stats.NewHistogram(latHistLo, latHistHi, latHistBins)}
-		m.endpoints[endpoint] = em
-	}
-	em.requests++
-	if status >= 400 {
-		em.errors++
-	}
-	if status == 504 {
-		em.timeouts++
-	}
-	if cacheHit {
-		em.cacheHits++
-	} else {
-		em.cacheMisses++
-	}
-	sec := elapsed.Seconds()
-	em.latency.Add(sec)
-	if sec > 0 {
-		em.hist.Add(math.Log10(sec))
-	} else {
-		em.hist.Add(latHistLo) // clock granularity floor
-	}
-}
 
 // LatencySnapshot reports one endpoint's latency distribution in
 // milliseconds.
@@ -142,41 +76,69 @@ type MetricsSnapshot struct {
 	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
 }
 
-// snapshot captures a JSON-safe copy of all counters. NaNs (empty
-// accumulators) are reported as 0 so the payload is always valid JSON.
-func (m *metrics) snapshot(cacheEntries, cacheCapacity int, cacheEvictions int64, jobStats *jobs.Stats) MetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := MetricsSnapshot{
-		UptimeSeconds:  time.Since(m.start).Seconds(),
-		CacheEntries:   cacheEntries,
-		CacheCapacity:  cacheCapacity,
-		CacheEvictions: cacheEvictions,
-		Jobs:           jobStats,
-		Endpoints:      make(map[string]EndpointSnapshot, len(m.endpoints)),
+// Metrics returns a point-in-time snapshot of the serving counters.
+// Every number is read from the registry instruments the Prometheus
+// exposition prints, so both formats report the same traffic.
+func (s *Server) Metrics() MetricsSnapshot {
+	snap := MetricsSnapshot{
+		UptimeSeconds:  time.Since(s.started).Seconds(),
+		CacheEntries:   s.cache.len(),
+		CacheCapacity:  s.opts.CacheSize,
+		CacheEvictions: s.cache.evictions(),
+		Admission: &AdmissionSnapshot{
+			Policy:   s.admission.Name(),
+			Overload: s.opts.OverloadMode,
+			Admitted: int64(s.admitAdmitted.Value()),
+			Shed:     int64(s.admitShed.Value()),
+			Degraded: int64(s.admitDegraded.Value()),
+			Lanes: map[string]LaneSnapshot{
+				s.express.Name(): laneSnapshot(s.express),
+				s.heavy.Name():   laneSnapshot(s.heavy),
+			},
+		},
+		Fleet:     s.fleetMetrics(),
+		Endpoints: make(map[string]EndpointSnapshot),
 	}
-	for name, em := range m.endpoints {
-		snap := EndpointSnapshot{
-			Requests:    em.requests,
-			Errors:      em.errors,
-			Timeouts:    em.timeouts,
-			CacheHits:   em.cacheHits,
-			CacheMisses: em.cacheMisses,
-		}
-		if em.requests > 0 {
-			snap.HitRate = float64(em.cacheHits) / float64(em.requests)
-		}
-		snap.Latency = LatencySnapshot{
-			MeanMs: jsonSafeMs(em.latency.Mean()),
-			MinMs:  jsonSafeMs(em.latency.Min()),
-			MaxMs:  jsonSafeMs(em.latency.Max()),
-			P50Ms:  histQuantileMs(em.hist, 0.50),
-			P90Ms:  histQuantileMs(em.hist, 0.90),
-			P99Ms:  histQuantileMs(em.hist, 0.99),
-		}
-		out.Endpoints[name] = snap
+	if s.opts.Jobs != nil {
+		st := s.opts.Jobs.Stats()
+		snap.Jobs = &st
 	}
-	return out
+	for name, pe := range s.prom {
+		if row, ok := pe.snapshot(); ok {
+			snap.Endpoints[name] = row
+		}
+	}
+	return snap
+}
+
+// snapshot builds one endpoint's row, or reports false when the
+// endpoint has served nothing. Requests is hits + misses rather than
+// the requests counter, so a row read during a concurrent scrape still
+// adds up. Empty instruments report 0, never NaN, so the payload is
+// always valid JSON.
+func (pe *promEndpoint) snapshot() (EndpointSnapshot, bool) {
+	hits, misses := int64(pe.hits.Value()), int64(pe.misses.Value())
+	requests := hits + misses
+	if requests == 0 {
+		return EndpointSnapshot{}, false
+	}
+	h := pe.latency.Snapshot()
+	return EndpointSnapshot{
+		Requests:    requests,
+		Errors:      int64(pe.errors.Value()),
+		Timeouts:    int64(pe.timeouts.Value()),
+		CacheHits:   hits,
+		CacheMisses: misses,
+		HitRate:     float64(hits) / float64(requests),
+		Latency: LatencySnapshot{
+			MeanMs: jsonSafeMs(h.Sum / float64(h.Count)),
+			MinMs:  jsonSafeMs(h.Min),
+			MaxMs:  jsonSafeMs(h.Max),
+			P50Ms:  jsonSafeMs(h.Quantile(0.50)),
+			P90Ms:  jsonSafeMs(h.Quantile(0.90)),
+			P99Ms:  jsonSafeMs(h.Quantile(0.99)),
+		},
+	}, true
 }
 
 // jsonSafeMs converts seconds to milliseconds, mapping NaN/Inf to 0.
@@ -185,27 +147,4 @@ func jsonSafeMs(sec float64) float64 {
 		return 0
 	}
 	return sec * 1e3
-}
-
-// histQuantileMs reads the q-th latency quantile, in milliseconds, off
-// the log10-seconds histogram's cumulative counts.
-func histQuantileMs(h *stats.Histogram, q float64) float64 {
-	lq := h.Quantile(q)
-	if math.IsNaN(lq) {
-		return 0
-	}
-	return math.Pow(10, lq) * 1e3
-}
-
-// endpointNames returns the observed endpoints, sorted (for tests and
-// stable logs).
-func (m *metrics) endpointNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.endpoints))
-	for n := range m.endpoints {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

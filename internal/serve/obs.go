@@ -22,8 +22,8 @@ import (
 // /v1/simulate/events report their engine counters.
 const enginePatternLabel = "pattern"
 
-// promEndpoint is one endpoint's set of registry instruments, the
-// Prometheus-text siblings of endpointMetrics.
+// promEndpoint is one endpoint's set of registry instruments, which
+// back both the Prometheus text and the JSON row of /metrics.
 type promEndpoint struct {
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -93,7 +93,7 @@ func (s *Server) initObs() {
 		func() float64 { return float64(s.cache.evictions()) })
 	r.NewGaugeFunc("respeed_uptime_seconds",
 		"Seconds since the server was created.",
-		func() float64 { return time.Since(s.metrics.start).Seconds() })
+		func() float64 { return time.Since(s.started).Seconds() })
 	r.NewCounterFunc("respeed_traces_total",
 		"Root request traces recorded (the /debug/traces ring retains the newest).",
 		func() float64 { return float64(s.tracer.Total()) })
@@ -199,10 +199,8 @@ func (s *Server) engineCounters(label string) *engine.Counters {
 	return c
 }
 
-// observe meters one finished request into both the legacy JSON
-// snapshot and the Prometheus instruments.
+// observe meters one finished request into its endpoint's instruments.
 func (s *Server) observe(endpoint string, elapsed time.Duration, cacheHit bool, status int) {
-	s.metrics.observe(endpoint, elapsed, cacheHit, status)
 	pe, ok := s.prom[endpoint]
 	if !ok {
 		return

@@ -20,7 +20,6 @@ import (
 
 	"respeed/internal/admit"
 	"respeed/internal/jobs"
-	"respeed/internal/stats"
 )
 
 // blockEndpoint installs a preCompute hook that blocks the first
@@ -318,17 +317,15 @@ func TestMetricsJSONNeverNaN(t *testing.T) {
 	}
 
 	// An endpoint row whose histogram holds zero samples (possible when
-	// a row is created but its first observation races the scrape).
-	m := newMetrics()
-	m.endpoints["/v1/empty"] = &endpointMetrics{
-		hist: stats.NewHistogram(latHistLo, latHistHi, latHistBins),
-	}
-	snap := m.snapshot(0, 0, 0, nil)
+	// a scrape reads the row between a request's counter increment and
+	// its latency observation).
+	s.prom["/v1/gain"].misses.Inc()
+	snap := s.Metrics()
 	b, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatalf("snapshot with empty histogram does not marshal: %v", err)
 	}
-	lat := snap.Endpoints["/v1/empty"].Latency
+	lat := snap.Endpoints["/v1/gain"].Latency
 	if lat.MeanMs != 0 || lat.P50Ms != 0 || lat.P90Ms != 0 || lat.P99Ms != 0 {
 		t.Errorf("empty-histogram quantiles not encoded as 0: %+v (%s)", lat, b)
 	}

@@ -23,8 +23,9 @@
 //     answers 504 while the computation completes and warms the cache).
 //
 // /metrics reports per-endpoint request counts, error counts, cache hit
-// rates and latency quantiles using internal/stats. Run drains in-flight
-// requests on context cancellation (SIGINT/SIGTERM in cmd/respeedd).
+// rates and latency quantiles from one internal/obs registry, as
+// Prometheus text or JSON. Run drains in-flight requests on context
+// cancellation (SIGINT/SIGTERM in cmd/respeedd).
 package serve
 
 import (
@@ -190,8 +191,8 @@ type Server struct {
 	opts    Options
 	cache   *lru
 	flights *flightGroup
-	metrics *metrics
 	mux     *http.ServeMux
+	started time.Time // uptime origin of /healthz and both /metrics formats
 
 	// Edge QoS: the admission policy sheds excess arrivals before any
 	// compute; the two lanes bound work in flight per traffic class, so
@@ -236,7 +237,7 @@ func New(opts Options) *Server {
 		opts:      opts,
 		cache:     newLRU(opts.CacheSize),
 		flights:   newFlightGroup(),
-		metrics:   newMetrics(),
+		started:   time.Now(),
 		admission: opts.Admission,
 		shutdown:  make(chan struct{}),
 	}
@@ -278,29 +279,6 @@ func New(opts Options) *Server {
 // embedding): the route mux wrapped in the observability middleware
 // (request IDs, root spans, structured request logs).
 func (s *Server) Handler() http.Handler { return s.middleware(s.mux) }
-
-// Metrics returns a point-in-time snapshot of the serving counters.
-func (s *Server) Metrics() MetricsSnapshot {
-	var jobStats *jobs.Stats
-	if s.opts.Jobs != nil {
-		st := s.opts.Jobs.Stats()
-		jobStats = &st
-	}
-	snap := s.metrics.snapshot(s.cache.len(), s.opts.CacheSize, s.cache.evictions(), jobStats)
-	snap.Admission = &AdmissionSnapshot{
-		Policy:   s.admission.Name(),
-		Overload: s.opts.OverloadMode,
-		Admitted: int64(s.admitAdmitted.Value()),
-		Shed:     int64(s.admitShed.Value()),
-		Degraded: int64(s.admitDegraded.Value()),
-		Lanes: map[string]LaneSnapshot{
-			s.express.Name(): laneSnapshot(s.express),
-			s.heavy.Name():   laneSnapshot(s.heavy),
-		},
-	}
-	snap.Fleet = s.fleetMetrics()
-	return snap
-}
 
 // Run serves on ln until ctx is canceled, then shuts down gracefully:
 // the listener closes immediately, in-flight requests get up to

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"respeed/internal/fleet"
+	"respeed/internal/jobs"
 	"respeed/internal/spec"
 )
 
@@ -214,5 +216,35 @@ func TestSimulateSpecValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD, POST" {
 		t.Errorf("PUT: %d Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+}
+
+// TestSpecPatternBoundOnEveryEndpoint: a spec whose total_work / plan.w
+// exceeds engine.MaxPatterns answers a 4xx naming total_work on every
+// endpoint that accepts a spec, before any pattern loop runs. At 1e300
+// work units of w = 1, subtracting w no longer shrinks what remains.
+func TestSpecPatternBoundOnEveryEndpoint(t *testing.T) {
+	probe := `{"version": 1, "plan": {"w": 1, "sigma1": 0.4, "sigma2": 0.8},
+	  "total_work": 1e300, "faults": {"silent": {"dist": "exponential", "rate": 1e-3}}}`
+	if _, err := spec.Parse([]byte(probe)); err == nil {
+		t.Fatal("spec.Parse accepts the probe; sending it would start an unbounded pattern loop")
+	}
+	campaign := `{"kind": "spec", "configs": ["Hera/XScale"], "n": 1, "spec": ` + probe + `}`
+	m, err := jobs.Open(jobs.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	ts := httptest.NewServer(New(Options{Jobs: m, FleetWorker: fleet.NewWorker(fleet.WorkerOptions{})}).Handler())
+	t.Cleanup(ts.Close)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/simulate?config=Hera%2FXScale&n=2", probe},
+		{"/v1/jobs", campaign},
+		{"/v1/shards", `{"campaign": ` + campaign + `, "shard": {"config": "Hera/XScale", "chunk": 0, "lo": 0, "hi": 1}}`},
+	} {
+		code, body := postBody(t, ts.URL+c.path, []byte(c.body))
+		if code < 400 || code >= 500 || !strings.Contains(string(body), "total_work") {
+			t.Errorf("POST %s: %d %s, want a 4xx naming total_work", c.path, code, body)
+		}
 	}
 }

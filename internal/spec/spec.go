@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"respeed/internal/core"
+	"respeed/internal/engine"
 	"respeed/internal/faults"
 	"respeed/internal/trace"
 )
@@ -411,6 +412,9 @@ func (s ScenarioSpec) Validate() error {
 	}
 	if !(s.TotalWork > 0) || math.IsInf(s.TotalWork, 0) {
 		return fmt.Errorf("spec: total_work must be positive and finite")
+	}
+	if n := s.TotalWork / s.Plan.W; n > engine.MaxPatterns {
+		return fmt.Errorf("spec: total_work / plan.w is %g patterns, above the %d one run can hold", n, engine.MaxPatterns)
 	}
 	if s.Costs != nil {
 		for name, q := range map[string]*Quantity{"c": s.Costs.C, "v": s.Costs.V, "r": s.Costs.R} {

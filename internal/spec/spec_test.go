@@ -4,11 +4,13 @@
 package spec_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"respeed/internal/engine"
 	"respeed/internal/platform"
 	"respeed/internal/spec"
 )
@@ -187,6 +189,24 @@ func TestMalformedNeverPanics(t *testing.T) {
 	for _, src := range cases {
 		if _, err := spec.Parse([]byte(src)); err == nil {
 			t.Errorf("malformed spec accepted: %s", src)
+		}
+	}
+}
+
+// TestPatternCountBound: Validate accepts a run of exactly
+// engine.MaxPatterns patterns and rejects longer ones, naming
+// total_work, so PatternSizes never sees a total that w cannot shrink.
+func TestPatternCountBound(t *testing.T) {
+	doc := func(totalWork float64) []byte {
+		return []byte(fmt.Sprintf(`{"version": 1, "plan": {"w": 0.5, "sigma1": 0.4, "sigma2": 0.8},
+		  "total_work": %g, "faults": {"silent": {"dist": "exponential", "rate": 1e-3}}}`, totalWork))
+	}
+	if _, err := spec.Parse(doc(engine.MaxPatterns / 2)); err != nil {
+		t.Errorf("%d patterns rejected: %v", engine.MaxPatterns, err)
+	}
+	for _, tw := range []float64{engine.MaxPatterns/2 + 0.25, 1e300} {
+		if _, err := spec.Parse(doc(tw)); err == nil || !strings.Contains(err.Error(), "total_work") {
+			t.Errorf("total_work %g: err = %v, want the pattern bound naming total_work", tw, err)
 		}
 	}
 }

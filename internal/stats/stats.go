@@ -230,94 +230,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
-// Median is Quantile(xs, 0.5).
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); values outside the
-// range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-	Under  int64
-	Over   int64
-	n      int64
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins on [lo,hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if !(lo < hi) || nbins < 1 {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, nbins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Bins)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Bins) { // guard FP edge at x≈Hi
-			i--
-		}
-		h.Bins[i]++
-	}
-}
-
-// N returns the total number of observations including out-of-range ones.
-func (h *Histogram) N() int64 { return h.n }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + float64((float64(i)+0.5)*width)
-}
-
-// Quantile reads the q-th quantile (0 ≤ q ≤ 1) off the cumulative bin
-// counts: the center of the first bin whose cumulative count reaches
-// ⌈q·N⌉ (at least 1). Observations below Lo resolve to Lo, above Hi to
-// Hi — the histogram cannot localize them further. It returns NaN on an
-// empty histogram and panics on q outside [0,1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic("stats: quantile level outside [0,1]")
-	}
-	total := h.n
-	if total == 0 {
-		return math.NaN()
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	cum := h.Under
-	if cum >= target {
-		return h.Lo
-	}
-	for i, c := range h.Bins {
-		cum += c
-		if cum >= target {
-			return h.BinCenter(i)
-		}
-	}
-	return h.Hi
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Bins {
-		if c > h.Bins[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
 // LinearFit returns the least-squares slope and intercept of y against x.
 // It is used to fit the log-log scaling law of Theorem 2 (the λ^{-2/3}
 // exponent). It panics when len(x) != len(y) or fewer than two points.

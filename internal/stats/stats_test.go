@@ -170,7 +170,7 @@ func TestQuantile(t *testing.T) {
 	if got := Quantile(xs, 1); got != 9 {
 		t.Errorf("q1 = %g", got)
 	}
-	if got := Median(xs); math.Abs(got-3.5) > 1e-12 {
+	if got := Quantile(xs, 0.5); math.Abs(got-3.5) > 1e-12 {
 		t.Errorf("median = %g, want 3.5", got)
 	}
 	// The input must not be modified.
@@ -223,48 +223,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.N() != 12 {
-		t.Errorf("N = %d", h.N())
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("Under/Over = %d/%d", h.Under, h.Over)
-	}
-	for i, c := range h.Bins {
-		if c != 1 {
-			t.Errorf("bin %d count %d, want 1", i, c)
-		}
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Errorf("BinCenter(0) = %g", got)
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		h.Add(7.2)
-	}
-	h.Add(1.1)
-	if got := h.Mode(); got != 7.5 {
-		t.Errorf("Mode = %g, want 7.5", got)
-	}
-}
-
-func TestHistogramEdgeValue(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(math.Nextafter(1, 0)) // just below Hi must land in the last bin
-	if h.Bins[3] != 1 || h.Over != 0 {
-		t.Errorf("edge value misbinned: bins=%v over=%d", h.Bins, h.Over)
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	// y = 2x + 1 exactly.
 	x := []float64{0, 1, 2, 3, 4}
@@ -298,92 +256,5 @@ func TestSummaryString(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty summary string")
-	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); !math.IsNaN(got) {
-			t.Errorf("Quantile(%g) on empty histogram = %g, want NaN", q, got)
-		}
-	}
-}
-
-func TestHistogramQuantileSingle(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(3.2)
-	want := h.BinCenter(3) // 3.5: the single observation's bin center
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != want {
-			t.Errorf("Quantile(%g) = %g, want %g", q, got, want)
-		}
-	}
-}
-
-func TestHistogramQuantileClamped(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5) // under
-	h.Add(-1) // under
-	h.Add(50) // over
-	// 2 of 3 observations are below Lo: low/median quantiles clamp to Lo,
-	// the top one to Hi.
-	if got := h.Quantile(0.5); got != h.Lo {
-		t.Errorf("median of under-heavy histogram = %g, want Lo=%g", got, h.Lo)
-	}
-	if got := h.Quantile(1); got != h.Hi {
-		t.Errorf("Quantile(1) with Over count = %g, want Hi=%g", got, h.Hi)
-	}
-	// All mass under Lo.
-	h2 := NewHistogram(0, 10, 10)
-	h2.Add(-1)
-	if got := h2.Quantile(1); got != h2.Lo {
-		t.Errorf("all-under Quantile(1) = %g, want Lo=%g", got, h2.Lo)
-	}
-	// All mass over Hi.
-	h3 := NewHistogram(0, 10, 10)
-	h3.Add(99)
-	if got := h3.Quantile(0); got != h3.Hi {
-		t.Errorf("all-over Quantile(0) = %g, want Hi=%g", got, h3.Hi)
-	}
-}
-
-func TestHistogramQuantileMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		h := NewHistogram(-2, 2, 37)
-		n := 1 + rng.Intn(500)
-		for i := 0; i < n; i++ {
-			h.Add(rng.NormFloat64()) // spills past both edges
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.01 {
-			got := h.Quantile(q)
-			if math.IsNaN(got) {
-				t.Fatalf("trial %d: Quantile(%g) = NaN on non-empty histogram", trial, q)
-			}
-			if got < prev {
-				t.Fatalf("trial %d: Quantile(%g) = %g < Quantile at lower level %g", trial, q, got, prev)
-			}
-			if got < h.Lo || got > h.Hi {
-				t.Fatalf("trial %d: Quantile(%g) = %g outside [%g,%g]", trial, q, got, h.Lo, h.Hi)
-			}
-			prev = got
-		}
-	}
-}
-
-func TestHistogramQuantilePanicsOutsideRange(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0.5)
-	for _, q := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Quantile(%g) did not panic", q)
-				}
-			}()
-			h.Quantile(q)
-		}()
 	}
 }

@@ -121,20 +121,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ParseJSONL reads a trace previously written by WriteJSONL.
-func ParseJSONL(rd io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(rd)
-	var out []Event
-	for dec.More() {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("trace: decode: %w", err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // Render formats the trace as a human-readable schedule, one event per
 // line, resembling the annotated timelines of the paper's Figure 1.
 func (r *Recorder) Render() string {
