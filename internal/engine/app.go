@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"respeed/internal/ckpt"
 	"respeed/internal/detect"
 	"respeed/internal/energy"
 	"respeed/internal/trace"
@@ -100,8 +99,8 @@ type Report struct {
 	// EnergyBreakdown attributes energy per activity (zero unless the
 	// recorder meters it).
 	EnergyBreakdown energy.Breakdown
-	// CkptStats aggregates checkpoint-store activity.
-	CkptStats ckpt.Stats
+	// CkptStats aggregates checkpoint activity.
+	CkptStats CkptStats
 	// PerNodeErrors attributes errors to nodes (nil for aggregate
 	// fault processes).
 	PerNodeErrors []int
@@ -120,7 +119,7 @@ type Report struct {
 // and pattern sequence for the life of the process (referenceMemo).
 // It stores the clean states, so a state equal to its entry passes
 // without a digest and only a differing one is digested, both sides, to
-// reach the detector's decision (above maxReferenceBytes it stores
+// reach the detector's decision (above MaxReferenceBytes it stores
 // digests instead). Only partial verification keeps a live clean
 // replica, because its sampled windows compare raw bytes at segment
 // boundaries.
@@ -232,9 +231,7 @@ func (x *App) perNodeErrors() []int {
 
 // run is Run without the per-node error counts.
 func (x *App) run() (Report, error) {
-	if err := x.cfg.Tier.Init(x); err != nil {
-		return x.finish(), err
-	}
+	x.cfg.Tier.Init(x)
 
 	pattern, attempt := 0, 0
 	errored := false // current pattern already failed at least once
@@ -302,11 +299,9 @@ func (x *App) run() (Report, error) {
 
 		if x.cfg.SkipVerification {
 			// Blind checkpoint: the corruption (if any) is committed.
-			// The tier's verified-commit discipline is deliberately
-			// subverted — that is the hazard under study.
-			if err := x.cfg.Tier.Commit(x, pattern, attempt); err != nil {
-				return x.finish(), err
-			}
+			// The verified-commit discipline is deliberately subverted —
+			// that is the hazard under study.
+			x.cfg.Tier.Commit(x, pattern, attempt)
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.PatternDone, Pattern: pattern, Attempt: attempt})
 			x.rep.Patterns++
 			pattern++
@@ -332,9 +327,7 @@ func (x *App) run() (Report, error) {
 		}
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyOK, Pattern: pattern, Attempt: attempt})
 
-		if err := x.cfg.Tier.Commit(x, pattern, attempt); err != nil {
-			return x.finish(), err
-		}
+		x.cfg.Tier.Commit(x, pattern, attempt)
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.PatternDone, Pattern: pattern, Attempt: attempt})
 		x.rep.Patterns++
 		pattern++
@@ -451,9 +444,7 @@ func (x *App) attemptPartial(pattern, attempt int, w, sigma float64) (committed 
 	}
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyOK, Pattern: pattern, Attempt: attempt})
 
-	if err := x.cfg.Tier.Commit(x, pattern, attempt); err != nil {
-		return false, 0, err
-	}
+	x.cfg.Tier.Commit(x, pattern, attempt)
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.PatternDone, Pattern: pattern, Attempt: attempt})
 	return true, 0, nil
 }

@@ -11,8 +11,8 @@
 //     its draws and counts every strike it reports against the node it
 //     struck, and it corrupts state through faults.Corrupt.
 //   - Tier decides where checkpoints go and what a rollback costs:
-//     SingleLevel (one verified store, the paper's C/R) or TwoLevel
-//     (memory + disk via package ckpt, with disk rollbacks that lose
+//     SingleLevel (one verified checkpoint slot, the paper's C/R) or
+//     TwoLevel (a memory and a disk slot, with disk rollbacks that lose
 //     committed patterns).
 //   - Recorder advances the clock and bills energy: SumRecorder (plain
 //     accumulation) or MeterRecorder (energy.Meter with per-activity
@@ -33,7 +33,7 @@
 // Scenario run, single runs and replications alike (scenariopool.go).
 // The reference stores the clean states, so a live state equal to its
 // entry passes on one compare and only a differing one is digested,
-// both sides; above maxReferenceBytes it stores one digest per pattern
+// both sides; above MaxReferenceBytes it stores one digest per pattern
 // instead (reference.go). It is sound because workloads are deterministic
 // (package workload) and detectors are pure functions of the bytes
 // (package detect); only partial verification, whose sampled windows

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"respeed/internal/faults"
 	"respeed/internal/rngx"
@@ -169,6 +170,16 @@ type PerNodeFaults struct {
 	// resets, so re-deriving the streams builds no strings.
 	suffixes []string
 }
+
+// MaxNodes bounds the nodes of one run: past it, the entries one node
+// adds to the per-node slices of PerNodeFaults or RenewalFaults
+// (whichever adds more) would alone outgrow MaxReferenceBytes. Entry
+// sizes follow the build's word size, so a 32-bit build admits more.
+const MaxNodes = MaxReferenceBytes / int(max(
+	unsafe.Sizeof(PerNodeFaults{}.nodes[0])+unsafe.Sizeof(PerNodeFaults{}.rngs[0])+
+		unsafe.Sizeof(PerNodeFaults{}.errors[0])+unsafe.Sizeof(PerNodeFaults{}.suffixes[0]),
+	unsafe.Sizeof(RenewalFaults{}.failStop[0])+
+		unsafe.Sizeof(RenewalFaults{}.errors[0])+unsafe.Sizeof(RenewalFaults{}.suffixes[0])))
 
 // NewPerNodeFaults builds the per-node process. Node i draws from the
 // substream (seed, "<prefix>/node-<i>"); prefix "cluster" reproduces

@@ -125,7 +125,7 @@ func TestReferenceMemoKey(t *testing.T) {
 	}
 	base := testScenario()
 	base.NewWorkload = kernel("memo", 1, 7)
-	// 100 patterns of a 48,016-byte state: above maxReferenceBytes, so
+	// 100 patterns of a 48,016-byte state: above MaxReferenceBytes, so
 	// the trajectory holds digests, taken with the detector.
 	digests := testScenario()
 	digests.TotalWork, digests.Plan.W = 25, 0.25
@@ -246,7 +246,7 @@ func TestReferenceMemoBudget(t *testing.T) {
 	flushReferenceMemo()
 	defer flushReferenceMemo()
 	sizes := PatternSizes(100, 1)
-	const stride = maxReferenceBytes / 100
+	const stride = MaxReferenceBytes / 100
 	fit := 0 // entries the budget holds at once
 	for i := 0; i < 5; i++ {
 		wl := workloadID{name: "budget", fp: uint64(i), state: make([]byte, stride), ok: true}

@@ -9,7 +9,7 @@ import (
 	"respeed/internal/detect"
 )
 
-// maxReferenceBytes caps the clean states one reference trajectory
+// MaxReferenceBytes caps the clean states one reference trajectory
 // stores. Against stored bytes a passing verification costs one compare
 // instead of a digest, but the bytes cost patterns × state length for
 // as long as the trajectory lives: 100 × 2,064 B ≈ 202 KiB at the
@@ -17,13 +17,14 @@ import (
 // would hold hundreds of MiB (one 512×512 heat2d state is 2 MiB). Above
 // the cap a trajectory keeps one digest per pattern instead. 4 MiB is
 // twenty times the simulate shape's trajectory, and small beside a
-// daemon's heap.
-const maxReferenceBytes = 4 << 20
+// daemon's heap. spec.Validate also refuses a workload state, and a
+// node count (MaxNodes), that alone would outgrow it.
+const MaxReferenceBytes = 4 << 20
 
 // reference is the clean trajectory every guaranteed verification of a
 // run compares against: entry k is the state after sizes[0..k]. It
 // holds the states themselves, stride bytes apart, when they fit under
-// maxReferenceBytes, and their digests otherwise. It is immutable once
+// MaxReferenceBytes, and their digests otherwise. It is immutable once
 // built, so concurrent runs, and every call that shares it through
 // referenceMemo, read it without synchronization.
 type reference struct {
@@ -42,7 +43,7 @@ func newReference(wl *Runner, sizes []float64, det detect.Detector) *reference {
 	for k, w := range sizes {
 		wl.advance(w)
 		st := wl.state()
-		if need := len(st) * len(sizes); k == 0 && need <= maxReferenceBytes {
+		if need := len(st) * len(sizes); k == 0 && need <= MaxReferenceBytes {
 			r.states, r.stride = make([]byte, need), len(st)
 		}
 		if r.stride > 0 && len(st) != r.stride {
@@ -73,12 +74,12 @@ func (r *reference) verify(v *detect.Verifier, k int, state []byte) bool {
 }
 
 // referenceMemoBytes bounds what referenceMemo holds, keys included:
-// four trajectories at maxReferenceBytes, or about eighty at the
+// four trajectories at MaxReferenceBytes, or about eighty at the
 // simulate shape. A daemon needs one trajectory per workload and
 // pattern sequence it serves, so the bound only guards pathological
 // use; when an entry would cross it the memo evicts everything rather
 // than tracking recency, as core.GridFor's cache does.
-const referenceMemoBytes = 4 * maxReferenceBytes
+const referenceMemoBytes = 4 * MaxReferenceBytes
 
 // MaxPatterns bounds the patterns of one run: the memo key of its
 // trajectory holds an 8-byte size per pattern and the digest form an

@@ -18,7 +18,7 @@ import (
 
 // The App verifies each pattern against a clean reference trajectory
 // stepped once (newReference): the clean states, or their digests
-// above maxReferenceBytes. Before that it advanced,
+// above MaxReferenceBytes. Before that it advanced,
 // serialized and digested a clean replica in lockstep with every run.
 // This file keeps that live-replica discipline as the reference
 // implementation and requires the two to agree on every report, float
@@ -51,9 +51,7 @@ func legacyRun(x *App) (Report, error) {
 
 // legacyRunBody is legacyRun without the per-node error counts.
 func legacyRunBody(x *App) (Report, error) {
-	if err := x.cfg.Tier.Init(x); err != nil {
-		return x.finish(), err
-	}
+	x.cfg.Tier.Init(x)
 
 	pattern, attempt := 0, 0
 	errored := false // current pattern already failed at least once
@@ -123,11 +121,9 @@ func legacyRunBody(x *App) (Report, error) {
 
 		if x.cfg.SkipVerification {
 			// Blind checkpoint: the corruption (if any) is committed.
-			// The tier's verified-commit discipline is deliberately
-			// subverted — that is the hazard under study.
-			if err := x.cfg.Tier.Commit(x, pattern, attempt); err != nil {
-				return x.finish(), err
-			}
+			// The verified-commit discipline is deliberately subverted —
+			// that is the hazard under study.
+			x.cfg.Tier.Commit(x, pattern, attempt)
 			x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.PatternDone, Pattern: pattern, Attempt: attempt})
 			if out.Silent {
 				// Keep the replica in lockstep with the now-corrupted
@@ -163,9 +159,7 @@ func legacyRunBody(x *App) (Report, error) {
 		}
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.VerifyOK, Pattern: pattern, Attempt: attempt})
 
-		if err := x.cfg.Tier.Commit(x, pattern, attempt); err != nil {
-			return x.finish(), err
-		}
+		x.cfg.Tier.Commit(x, pattern, attempt)
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.PatternDone, Pattern: pattern, Attempt: attempt})
 		x.rep.Patterns++
 		pattern++
@@ -286,7 +280,7 @@ func (panicDetector) Sum([]byte) detect.Digest {
 // TestReferenceStepsOncePerPattern pins the reference trajectory to the
 // App's granularity: one advance per pattern, entry k the state after
 // sizes[0..k]. Stored states take no digest; a trajectory above
-// maxReferenceBytes, or of a state that changes length, holds the
+// MaxReferenceBytes, or of a state that changes length, holds the
 // digests instead and no states.
 func TestReferenceStepsOncePerPattern(t *testing.T) {
 	sizes := PatternSizes(333.3, 47.5)
@@ -354,7 +348,7 @@ func referenceCases() []struct {
 	short.Detector = detect.CRC32C{}
 	short.NewWorkload = func() *Runner { return FromWorkload(workload.NewHeat2D(12, 0.2)) }
 
-	// 100 patterns of a 48,016-byte state: above maxReferenceBytes, so
+	// 100 patterns of a 48,016-byte state: above MaxReferenceBytes, so
 	// the reference holds digests. Quarter-sweep patterns and CRC-32C
 	// keep the test fast.
 	aboveCap := testScenario()

@@ -1,22 +1,23 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
-	"respeed/internal/ckpt"
 	"respeed/internal/energy"
 	"respeed/internal/trace"
 )
 
 // Tier is the checkpoint/rollback policy of a full-stack execution. It
-// owns the stores, bills checkpoint and recovery time on the app's
-// recorder, and decides which pattern execution resumes after an error.
+// owns the checkpoint slots, bills checkpoint and recovery time on the
+// app's recorder, and decides which pattern execution resumes after an
+// error.
 type Tier interface {
 	// Init commits the initial state as checkpoint zero (pattern −1).
-	Init(x *App) error
+	Init(x *App)
 	// Commit persists the verified state after pattern committed, and
 	// bills the checkpoint cost(s).
-	Commit(x *App, pattern, attempt int) error
+	Commit(x *App, pattern, attempt int)
 	// OnVerifyFail rolls back after a detected silent error and
 	// returns the pattern index to resume from.
 	OnVerifyFail(x *App, pattern int) (resume int, err error)
@@ -27,89 +28,121 @@ type Tier interface {
 	// committed work (run at σ2 even on its first attempt since the
 	// rollback).
 	Redo(pattern int) bool
-	// Stats aggregates checkpoint-store activity across the tier's
-	// stores.
-	Stats() ckpt.Stats
+	// Stats aggregates checkpoint activity across the tier's levels.
+	Stats() CkptStats
 }
 
-// SingleLevel is the paper's base protocol: one verified checkpoint
-// store, checkpoint cost C, recovery cost R, retry the same pattern.
+// CkptStats summarizes checkpoint activity.
+type CkptStats struct {
+	Commits      int
+	Recoveries   int
+	BytesWritten int64
+	BytesRead    int64
+}
+
+// String renders the stats compactly.
+func (st CkptStats) String() string {
+	return fmt.Sprintf("commits=%d recoveries=%d written=%dB read=%dB",
+		st.Commits, st.Recoveries, st.BytesWritten, st.BytesRead)
+}
+
+// slot is one checkpoint level. The paper verifies before every
+// checkpoint, so a rollback only ever needs the latest verified state:
+// a level keeps exactly that state (its own copy), the pattern whose end
+// it marks, and the level's activity counters. Every commit is preceded
+// by a passed verification, or by none under SkipVerification; App.run
+// enforces that order, not the slot.
+type slot struct {
+	state   []byte
+	pattern int
+	stats   CkptStats
+}
+
+// commit copies state into the slot's buffer as the checkpoint after
+// pattern, so later workload mutation cannot leak into it.
+func (s *slot) commit(state []byte, pattern int) {
+	s.state = append(s.state[:0], state...)
+	s.pattern = pattern
+	s.stats.Commits++
+	s.stats.BytesWritten += int64(len(state))
+}
+
+// recoverView returns the checkpointed bytes and their pattern, and
+// counts the read. The bytes alias the slot: they are read-only and
+// valid until the next commit or reset (the workload's restore copies
+// them out at once).
+func (s *slot) recoverView() ([]byte, int, error) {
+	if s.stats.Commits == 0 {
+		return nil, 0, errors.New("engine: no checkpoint committed")
+	}
+	s.stats.Recoveries++
+	s.stats.BytesRead += int64(len(s.state))
+	return s.state, s.pattern, nil
+}
+
+// reset empties the slot and zeroes its counters, keeping the buffer so
+// a pooled run commits without allocating.
+func (s *slot) reset() { *s = slot{state: s.state[:0]} }
+
+// restoreFrom rolls the workload back to level's checkpoint and returns
+// the pattern index the checkpoint follows.
+func restoreFrom(x *App, level *slot) (int, error) {
+	state, pattern, err := level.recoverView()
+	if err != nil {
+		return 0, err
+	}
+	return pattern, x.restore(state)
+}
+
+// SingleLevel is the paper's base protocol: one verified checkpoint,
+// checkpoint cost C, recovery cost R, retry the same pattern.
 type SingleLevel struct {
-	c, r  float64
-	store *ckpt.Store
+	c, r float64
+	ckpt slot
 }
 
 // NewSingleLevel builds the tier: one checkpoint slot, overwritten by
 // every commit.
 func NewSingleLevel(c, r float64) *SingleLevel {
-	return &SingleLevel{c: c, r: r, store: ckpt.New(1)}
+	return &SingleLevel{c: c, r: r}
 }
 
 // reset re-derives the tier in place as NewSingleLevel(c, r) would,
-// recycling the store's snapshot buffers.
+// keeping the slot's buffer.
 func (t *SingleLevel) reset(c, r float64) {
 	t.c, t.r = c, r
-	if t.store == nil {
-		t.store = ckpt.New(1)
-	} else {
-		t.store.Reset()
-	}
+	t.ckpt.reset()
 }
 
 // Init implements Tier.
-func (t *SingleLevel) Init(x *App) error {
-	t.store.Stage(x.main.state())
-	t.store.MarkVerified()
-	if _, err := t.store.Commit(-1, x.rec.Clock()); err != nil {
-		return fmt.Errorf("engine: initial checkpoint: %w", err)
-	}
-	return nil
-}
+func (t *SingleLevel) Init(x *App) { t.ckpt.commit(x.main.state(), -1) }
 
-// Commit implements Tier: store first (the snapshot carries the
-// pre-checkpoint clock), then bill C.
-func (t *SingleLevel) Commit(x *App, pattern, attempt int) error {
-	t.store.Stage(x.main.state())
-	t.store.MarkVerified()
-	if _, err := t.store.Commit(pattern, x.rec.Clock()); err != nil {
-		return fmt.Errorf("engine: checkpoint: %w", err)
-	}
+// Commit implements Tier: store first, then bill C.
+func (t *SingleLevel) Commit(x *App, pattern, attempt int) {
+	t.ckpt.commit(x.main.state(), pattern)
 	x.rec.Advance(t.c, energy.Checkpoint, 0)
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Checkpoint, Pattern: pattern, Attempt: attempt})
-	return nil
 }
 
-// recover restores the workload from the store, then bills R — the
-// historical full-stack simulator's order. The view is read-only and
-// consumed before the store can invalidate it: restore copies the bytes
-// out.
-func (t *SingleLevel) recover(x *App) error {
-	state, err := t.store.RecoverView()
-	if err != nil {
-		return fmt.Errorf("engine: recover: %w", err)
-	}
-	if err := x.restore(state); err != nil {
-		return err
+// OnVerifyFail implements Tier: restore the checkpoint, then bill R —
+// the historical full-stack simulator's order — and retry the same
+// pattern.
+func (t *SingleLevel) OnVerifyFail(x *App, pattern int) (int, error) {
+	if _, err := restoreFrom(x, &t.ckpt); err != nil {
+		return 0, fmt.Errorf("engine: recover: %w", err)
 	}
 	x.rec.Advance(t.r, energy.Recovery, 0)
-	return nil
-}
-
-// OnVerifyFail implements Tier: retry the same pattern.
-func (t *SingleLevel) OnVerifyFail(x *App, pattern int) (int, error) {
-	return pattern, t.recover(x)
+	return pattern, nil
 }
 
 // OnFailStop implements Tier: identical to a silent rollback.
-func (t *SingleLevel) OnFailStop(x *App, pattern int) (int, error) {
-	return pattern, t.recover(x)
-}
+func (t *SingleLevel) OnFailStop(x *App, pattern int) (int, error) { return t.OnVerifyFail(x, pattern) }
 
 // Redo implements Tier: single-level never re-runs committed patterns.
 func (t *SingleLevel) Redo(int) bool { return false }
 
 // Stats implements Tier.
-func (t *SingleLevel) Stats() ckpt.Stats { return t.store.Stats() }
+func (t *SingleLevel) Stats() CkptStats { return t.ckpt.stats }
 
 // TwoLevelSpec parameterizes the two-level tier.
 type TwoLevelSpec struct {
@@ -140,8 +173,8 @@ type TwoLevel struct {
 	spec  TwoLevelSpec
 	r     float64 // memory-level recovery cost (the platform R)
 	total int     // application pattern count (the final pattern always hits disk)
-	mem   *ckpt.Store
-	disk  *ckpt.Store
+	mem   slot
+	disk  slot
 	// frontier is the highest pattern index ever committed to memory;
 	// patterns at or below it that run again after a disk rollback are
 	// catch-up re-executions.
@@ -150,76 +183,35 @@ type TwoLevel struct {
 
 // NewTwoLevel builds the tier for an application of total patterns.
 func NewTwoLevel(spec TwoLevelSpec, memRecovery float64, total int) *TwoLevel {
-	return &TwoLevel{
-		spec: spec, r: memRecovery, total: total,
-		mem: ckpt.New(1), disk: ckpt.New(1), frontier: -1,
-	}
+	return &TwoLevel{spec: spec, r: memRecovery, total: total, frontier: -1}
 }
 
-// reset re-derives the tier in place as NewTwoLevel would, recycling
-// both stores' snapshot buffers.
+// reset re-derives the tier in place as NewTwoLevel would, keeping both
+// slots' buffers.
 func (t *TwoLevel) reset(spec TwoLevelSpec, memRecovery float64, total int) {
 	t.spec, t.r, t.total = spec, memRecovery, total
-	if t.mem == nil {
-		t.mem, t.disk = ckpt.New(1), ckpt.New(1)
-	} else {
-		t.mem.Reset()
-		t.disk.Reset()
-	}
+	t.mem.reset()
+	t.disk.reset()
 	t.frontier = -1
-}
-
-// commitTo stages and commits the current state to a store.
-func (t *TwoLevel) commitTo(x *App, store *ckpt.Store, pattern int) error {
-	store.Stage(x.main.state())
-	store.MarkVerified()
-	_, err := store.Commit(pattern, x.rec.Clock())
-	return err
-}
-
-// restoreFrom rolls the workload back to a store's snapshot and
-// returns the pattern index the snapshot belongs to.
-func (t *TwoLevel) restoreFrom(x *App, store *ckpt.Store) (int, error) {
-	snap, err := store.Latest()
-	if err != nil {
-		return 0, err
-	}
-	state, err := store.RecoverView()
-	if err != nil {
-		return 0, err
-	}
-	if err := x.restore(state); err != nil {
-		return 0, err
-	}
-	return snap.Pattern, nil
 }
 
 // Init implements Tier: the initial state is both disk and memory
 // checkpoint zero.
-func (t *TwoLevel) Init(x *App) error {
-	if err := t.commitTo(x, t.disk, -1); err != nil {
-		return fmt.Errorf("engine: initial disk checkpoint: %w", err)
-	}
-	if err := t.commitTo(x, t.mem, -1); err != nil {
-		return fmt.Errorf("engine: initial memory checkpoint: %w", err)
-	}
-	return nil
+func (t *TwoLevel) Init(x *App) {
+	t.disk.commit(x.main.state(), -1)
+	t.mem.commit(x.main.state(), -1)
 }
 
 // Commit implements Tier: a memory checkpoint after every pattern, and
 // a disk checkpoint on every k-th pattern (and always for the final
 // one, so the result is durable).
-func (t *TwoLevel) Commit(x *App, pattern, attempt int) error {
-	if err := t.commitTo(x, t.mem, pattern); err != nil {
-		return fmt.Errorf("engine: memory checkpoint: %w", err)
-	}
+func (t *TwoLevel) Commit(x *App, pattern, attempt int) {
+	t.mem.commit(x.main.state(), pattern)
 	x.rec.Advance(t.spec.MemC, energy.Checkpoint, 0)
 	x.rep.MemCommits++
 	x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Checkpoint, Pattern: pattern, Attempt: attempt, Detail: "memory"})
 	if (pattern+1)%t.spec.Every == 0 || pattern == t.total-1 {
-		if err := t.commitTo(x, t.disk, pattern); err != nil {
-			return fmt.Errorf("engine: disk checkpoint: %w", err)
-		}
+		t.disk.commit(x.main.state(), pattern)
 		x.rec.Advance(t.spec.DiskC, energy.Checkpoint, 0)
 		x.rep.DiskCommits++
 		x.emit(trace.Event{Time: x.rec.Clock(), Kind: trace.Checkpoint, Pattern: pattern, Attempt: attempt, Detail: "disk"})
@@ -227,7 +219,6 @@ func (t *TwoLevel) Commit(x *App, pattern, attempt int) error {
 	if pattern > t.frontier {
 		t.frontier = pattern
 	}
-	return nil
 }
 
 // OnVerifyFail implements Tier: a detected silent error is absorbed by
@@ -235,7 +226,7 @@ func (t *TwoLevel) Commit(x *App, pattern, attempt int) error {
 func (t *TwoLevel) OnVerifyFail(x *App, pattern int) (int, error) {
 	x.rep.MemRecoveries++
 	x.rec.Advance(t.r, energy.Recovery, 0)
-	if _, err := t.restoreFrom(x, t.mem); err != nil {
+	if _, err := restoreFrom(x, &t.mem); err != nil {
 		return 0, fmt.Errorf("engine: memory recovery: %w", err)
 	}
 	return pattern, nil
@@ -243,18 +234,16 @@ func (t *TwoLevel) OnVerifyFail(x *App, pattern int) (int, error) {
 
 // OnFailStop implements Tier: the crash wipes the memory level; roll
 // back to the last disk checkpoint (cost DiskR), reseed memory from it,
-// and resume from the first pattern after the disk snapshot.
+// and resume from the first pattern after the disk checkpoint.
 func (t *TwoLevel) OnFailStop(x *App, pattern int) (int, error) {
 	x.rep.DiskRecoveries++
 	x.rec.Advance(t.spec.DiskR, energy.Recovery, 0)
-	diskPattern, err := t.restoreFrom(x, t.disk)
+	diskPattern, err := restoreFrom(x, &t.disk)
 	if err != nil {
 		return 0, fmt.Errorf("engine: disk recovery: %w", err)
 	}
 	// The reseed commit is bookkeeping, not a billed checkpoint.
-	if err := t.commitTo(x, t.mem, diskPattern); err != nil {
-		return 0, fmt.Errorf("engine: reseed memory: %w", err)
-	}
+	t.mem.commit(x.main.state(), diskPattern)
 	x.rep.PatternsLost += pattern - (diskPattern + 1)
 	return diskPattern + 1, nil
 }
@@ -262,13 +251,9 @@ func (t *TwoLevel) OnFailStop(x *App, pattern int) (int, error) {
 // Redo implements Tier.
 func (t *TwoLevel) Redo(pattern int) bool { return pattern <= t.frontier }
 
-// Stats implements Tier: memory and disk store activity combined.
-func (t *TwoLevel) Stats() ckpt.Stats {
-	m, d := t.mem.Stats(), t.disk.Stats()
-	return ckpt.Stats{
-		Commits:      m.Commits + d.Commits,
-		Recoveries:   m.Recoveries + d.Recoveries,
-		BytesWritten: m.BytesWritten + d.BytesWritten,
-		BytesRead:    m.BytesRead + d.BytesRead,
-	}
+// Stats implements Tier: memory and disk activity combined.
+func (t *TwoLevel) Stats() CkptStats {
+	m, d := t.mem.stats, t.disk.stats
+	return CkptStats{Commits: m.Commits + d.Commits, Recoveries: m.Recoveries + d.Recoveries,
+		BytesWritten: m.BytesWritten + d.BytesWritten, BytesRead: m.BytesRead + d.BytesRead}
 }

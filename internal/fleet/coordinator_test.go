@@ -33,6 +33,11 @@ func testCampaign(t *testing.T) (jobs.Campaign, jobs.ShardPlan) {
 	return norm, sp
 }
 
+// probedHealthz is a test peer's /healthz answer. Its active_shards is
+// nonzero, which no peer starts with, so a snapshot showing it proves
+// the heartbeat has probed the peer.
+const probedHealthz = `{"fleet":{"active_shards":1}}`
+
 // fakePeer serves /v1/shards with a canned handler and /healthz with a
 // well-formed fleet block, so the coordinator's heartbeat keeps it up.
 func fakePeer(t *testing.T, shards http.HandlerFunc) *httptest.Server {
@@ -40,23 +45,41 @@ func fakePeer(t *testing.T, shards http.HandlerFunc) *httptest.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/shards", shards)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"fleet":{"active_shards":0}}`))
+		w.Write([]byte(probedHealthz))
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
 }
 
+// newTestCoordinator starts a coordinator and returns once the
+// heartbeat's first round, which fires at start, has probed every peer:
+// each is then down, or up with the nonzero active_shards its /healthz
+// reported. A probe still in flight could otherwise overturn a verdict
+// the test provokes, such as reviving a peer a 5xx just marked down.
 func newTestCoordinator(t *testing.T, opts Options) *Coordinator {
 	t.Helper()
 	if opts.HeartbeatEvery == 0 {
-		opts.HeartbeatEvery = time.Hour // keep probes out of the test's way
+		opts.HeartbeatEvery = time.Hour // keep later probes out of the test's way
 	}
 	c, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	t.Cleanup(c.Close)
+	probed := func() bool {
+		for _, p := range c.Snapshot() {
+			if p.Up && p.ActiveShards == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !probed(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("first heartbeat round never landed: %+v", c.Snapshot())
+		}
+	}
 	return c
 }
 
@@ -171,10 +194,10 @@ func (deadPeerTransport) RoundTrip(*http.Request) (*http.Response, error) {
 }
 
 // newDeadPeerCoordinator builds a coordinator whose one peer is dead.
-// The heartbeat's immediate first probe marks the peer down, racing the
-// test's first dispatch; the helper waits for that verdict, then
-// restores the optimistic start state, so the first dispatch dials the
-// peer as it would on a fleet whose first probe had not landed yet.
+// The heartbeat's first probe has marked the peer down by the time
+// newTestCoordinator returns; the helper restores the optimistic start
+// state, so the first dispatch dials the peer as it would on a fleet
+// whose first probe had not landed yet.
 func newDeadPeerCoordinator(t *testing.T, localFallback bool) *Coordinator {
 	t.Helper()
 	c := newTestCoordinator(t, Options{
@@ -183,11 +206,6 @@ func newDeadPeerCoordinator(t *testing.T, localFallback bool) *Coordinator {
 		LocalFallback: localFallback,
 	})
 	p := c.peers[0]
-	for deadline := time.Now().Add(10 * time.Second); p.snapshot().Up; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("first heartbeat never marked the dead peer down")
-		}
-	}
 	p.mu.Lock()
 	p.up = true
 	p.mu.Unlock()

@@ -136,7 +136,7 @@ func metricsPeer(t *testing.T, body string) *httptest.Server {
 		w.Write([]byte(body))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"fleet":{"active_shards":0}}`))
+		w.Write([]byte(probedHealthz))
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

@@ -5,8 +5,10 @@ package jobs
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"respeed/internal/engine"
 	"respeed/internal/platform"
@@ -129,5 +131,35 @@ func TestSpecCampaignValidation(t *testing.T) {
 	bad.Plan.W = -1
 	if _, err := m.Submit(Campaign{Kind: KindSpec, Spec: &bad}); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+// TestResumeRevalidatesJournaledSpec: a journal whose submit record
+// carries a spec past a size bound (written directly, as a journal from
+// an older build could be) resumes into a failed job with the bound's
+// error. runShard's Compile re-validates before anything is built, so
+// the heat2d state of 10^6 × 10^6 cells is never allocated.
+func TestResumeRevalidatesJournaledSpec(t *testing.T) {
+	sp, ok := spec.ByName("cluster-twolevel")
+	if !ok {
+		t.Fatal("builtin cluster-twolevel missing")
+	}
+	sp.Workload = &spec.WorkloadSpec{Kind: "heat2d", Size: 1000000, Alpha: 0.2}
+	camp := Campaign{Kind: KindSpec, Configs: []string{"Hera/XScale"}, Spec: &sp, N: 2, Seed: 1}
+	dir := t.TempDir()
+	jn, err := createJournal(filepath.Join(dir, "j000001.journal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.append(record{T: recordSubmit, ID: "j000001", Campaign: &camp, Shards: len(camp.planShards())}); err != nil {
+		t.Fatal(err)
+	}
+	jn.close()
+
+	m := mustOpen(t, Options{Dir: dir, ShardRetries: 1, RetryBackoff: time.Millisecond})
+	defer m.Close()
+	st := waitDone(t, m, "j000001")
+	if st.State != StateFailed || !strings.Contains(st.Error, "workload.size") {
+		t.Fatalf("resumed job ended %s (%q), want failed naming workload.size", st.State, st.Error)
 	}
 }

@@ -9,11 +9,14 @@ import (
 )
 
 // FederatedSource is one parsed exposition entering a federation merge.
-// Peer is the value stamped onto every sample as a `peer` label; a
-// sample that already carries a `peer` label has it renamed to
-// `exported_peer` first (the Prometheus federation convention), so a
-// coordinator federating itself — whose own exposition holds
-// peer-labeled fleet series — never produces a duplicate label. A
+// Peer is the value stamped onto every sample as a `peer` label. A
+// sample's own `peer` label moves to `exported_peer` first (the
+// Prometheus federation convention), so a coordinator federating itself
+// — whose own exposition holds peer-labeled fleet series — never
+// produces a duplicate label; an `exported_peer` label it already had
+// moves on to `exported_exported_peer`, and so on. Shifting the whole
+// chain keeps distinct samples distinct: m{peer="a"} and
+// m{exported_peer="a"} must not merge into one series. A
 // source with an empty Peer is merged verbatim: no relabeling, used for
 // synthetic families (the federator's own scrape-health series) whose
 // samples carry their peer labels already.
@@ -91,17 +94,26 @@ func WriteFederated(w io.Writer, sources []FederatedSource) error {
 	return bw.Flush()
 }
 
+// isPeerLabel reports whether name is `peer` behind zero or more
+// `exported_` prefixes.
+func isPeerLabel(name string) bool {
+	for strings.HasPrefix(name, "exported_") {
+		name = name[len("exported_"):]
+	}
+	return name == "peer"
+}
+
 // renderFederatedSample renders one sample line with the peer label
 // applied (or verbatim when peer is empty), labels sorted by name.
 func renderFederatedSample(s Sample, peer string) string {
 	labels := make(map[string]string, len(s.Labels)+1)
 	for k, v := range s.Labels {
+		if peer != "" && isPeerLabel(k) {
+			k = "exported_" + k
+		}
 		labels[k] = v
 	}
 	if peer != "" {
-		if v, clash := labels["peer"]; clash {
-			labels["exported_peer"] = v
-		}
 		labels["peer"] = peer
 	}
 	keys := make([]string, 0, len(labels))

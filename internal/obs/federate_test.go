@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -172,6 +173,77 @@ func TestFederationRoundTrip(t *testing.T) {
 			got[k]--
 		}
 	}
+}
+
+// TestFederationExportedPeerCollision: federation shifts a sample's
+// peer, exported_peer, … labels one exported_ further. Moving only peer
+// would merge m{peer="a"} and m{exported_peer="a"} into one series, and
+// overwriting exported_peer would lose "b" from the third line.
+func TestFederationExportedPeerCollision(t *testing.T) {
+	exp, err := ParseExposition([]byte("# TYPE m gauge\nm{peer=\"a\"} 1\nm{exported_peer=\"a\"} 2\n" +
+		"m{exported_peer=\"b\",peer=\"c\"} 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteFederated(&buf, []FederatedSource{{Peer: "p", Exp: exp}}); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE m gauge\n" +
+		"m{exported_peer=\"a\",peer=\"p\"} 1\n" +
+		"m{exported_exported_peer=\"a\",peer=\"p\"} 2\n" +
+		"m{exported_exported_peer=\"b\",exported_peer=\"c\",peer=\"p\"} 3\n"
+	if buf.String() != want {
+		t.Fatalf("federated:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	if _, err := ParseExposition(buf.Bytes()); err != nil {
+		t.Fatalf("federated exposition does not strict-parse: %v", err)
+	}
+}
+
+// FuzzFederate: whatever ParseExposition accepts federates under a peer
+// into an exposition that strict-parses again, with the same samples
+// and values.
+func FuzzFederate(f *testing.F) {
+	f.Add([]byte("# TYPE m gauge\nm{peer=\"a\"} 1\nm{exported_peer=\"a\"} 2\n"))
+	f.Add([]byte("# HELP c_total Requests.\n# TYPE c_total counter\nc_total{peer=\"x\",exported_peer=\"y\"} 3\n"))
+	f.Add([]byte("# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1.5\nh_count 2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, err := ParseExposition(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFederated(&buf, []FederatedSource{{Peer: "p", Exp: in}}); err != nil {
+			t.Fatalf("federate: %v", err)
+		}
+		out, err := ParseExposition(buf.Bytes())
+		if err != nil {
+			t.Fatalf("federated exposition does not strict-parse: %v\n%s", err, buf.String())
+		}
+		if len(out.Samples) != len(in.Samples) {
+			t.Fatalf("%d samples in, %d out", len(in.Samples), len(out.Samples))
+		}
+		type sample struct {
+			name string
+			bits uint64
+		}
+		left := map[sample]int{}
+		for _, s := range in.Samples {
+			left[sample{s.Name, math.Float64bits(s.Value)}]++
+		}
+		for _, s := range out.Samples {
+			if s.Labels["peer"] != "p" {
+				t.Fatalf("sample %s lacks peer=p: %v", s.Name, s.Labels)
+			}
+			left[sample{s.Name, math.Float64bits(s.Value)}]--
+		}
+		for k, n := range left {
+			if n != 0 {
+				t.Fatalf("%s = %g: %d more in than out", k.name, math.Float64frombits(k.bits), n)
+			}
+		}
+	})
 }
 
 // TestFederationTypeConflict checks that a cross-peer TYPE disagreement

@@ -219,17 +219,14 @@ func TestSimulateSpecValidation(t *testing.T) {
 	}
 }
 
-// TestSpecPatternBoundOnEveryEndpoint: a spec whose total_work / plan.w
-// exceeds engine.MaxPatterns answers a 4xx naming total_work on every
-// endpoint that accepts a spec, before any pattern loop runs. At 1e300
-// work units of w = 1, subtracting w no longer shrinks what remains.
+// TestSpecPatternBoundOnEveryEndpoint: a spec past one of Validate's
+// size bounds answers a 400 naming its field on every endpoint that
+// accepts a spec, before anything is built. Unbounded, each probe would
+// exhaust memory: 1e300 work units of w = 1 never stop appending pattern
+// sizes (subtracting w no longer shrinks what remains), and the two
+// workloads would allocate 16 TB and 32 GB, as would 2^30 nodes' fault
+// state.
 func TestSpecPatternBoundOnEveryEndpoint(t *testing.T) {
-	probe := `{"version": 1, "plan": {"w": 1, "sigma1": 0.4, "sigma2": 0.8},
-	  "total_work": 1e300, "faults": {"silent": {"dist": "exponential", "rate": 1e-3}}}`
-	if _, err := spec.Parse([]byte(probe)); err == nil {
-		t.Fatal("spec.Parse accepts the probe; sending it would start an unbounded pattern loop")
-	}
-	campaign := `{"kind": "spec", "configs": ["Hera/XScale"], "n": 1, "spec": ` + probe + `}`
 	m, err := jobs.Open(jobs.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -237,14 +234,27 @@ func TestSpecPatternBoundOnEveryEndpoint(t *testing.T) {
 	t.Cleanup(m.Close)
 	ts := httptest.NewServer(New(Options{Jobs: m, FleetWorker: fleet.NewWorker(fleet.WorkerOptions{})}).Handler())
 	t.Cleanup(ts.Close)
-	for _, c := range []struct{ path, body string }{
-		{"/v1/simulate?config=Hera%2FXScale&n=2", probe},
-		{"/v1/jobs", campaign},
-		{"/v1/shards", `{"campaign": ` + campaign + `, "shard": {"config": "Hera/XScale", "chunk": 0, "lo": 0, "hi": 1}}`},
+	const silent = `"faults": {"silent": {"dist": "exponential", "rate": 1e-3}}`
+	for _, p := range []struct{ field, body string }{
+		{"total_work", `"total_work": 1e300, ` + silent},
+		{"workload.size", `"total_work": 5, "workload": {"kind": "heat2d", "size": 1000000, "alpha": 0.2}, ` + silent},
+		{"workload.size", `"total_work": 5, "workload": {"kind": "matvec", "size": 2000000000}, ` + silent},
+		{"faults.nodes", `"total_work": 5, "faults": {"failstop": {"dist": "exponential", "rate": 1e-3}, "nodes": 1073741824}`},
 	} {
-		code, body := postBody(t, ts.URL+c.path, []byte(c.body))
-		if code < 400 || code >= 500 || !strings.Contains(string(body), "total_work") {
-			t.Errorf("POST %s: %d %s, want a 4xx naming total_work", c.path, code, body)
+		probe := `{"version": 1, "plan": {"w": 1, "sigma1": 0.4, "sigma2": 0.8}, ` + p.body + `}`
+		if _, err := spec.Parse([]byte(probe)); err == nil || !strings.Contains(err.Error(), p.field) {
+			t.Fatalf("spec.Parse(%s) = %v; sending a probe it accepts would exhaust memory", probe, err)
+		}
+		campaign := `{"kind": "spec", "configs": ["Hera/XScale"], "n": 1, "spec": ` + probe + `}`
+		for _, c := range []struct{ path, body string }{
+			{"/v1/simulate?config=Hera%2FXScale&n=2", probe},
+			{"/v1/jobs", campaign},
+			{"/v1/shards", `{"campaign": ` + campaign + `, "shard": {"config": "Hera/XScale", "chunk": 0, "lo": 0, "hi": 1}}`},
+		} {
+			code, body := postBody(t, ts.URL+c.path, []byte(c.body))
+			if code != http.StatusBadRequest || !strings.Contains(string(body), p.field) {
+				t.Errorf("POST %s with %s: %d %s, want a 400 naming %s", c.path, p.field, code, body, p.field)
+			}
 		}
 	}
 }

@@ -396,6 +396,16 @@ func Hash(s ScenarioSpec) (string, error) {
 // Workload kind names.
 var workloadKinds = []string{"stream", "heat", "heat2d", "matvec"}
 
+// maxCells bounds the float64 cells of a heat, heat2d or matvec state.
+// A state serializes to 8·(cells+2) bytes (the values, then the frac and
+// done trailer), and above engine.MaxReferenceBytes not even a
+// one-pattern trajectory could hold it. maxSide is the largest heat2d n
+// with n² ≤ maxCells: Validate compares n with it, never n² with
+// maxCells, so the check cannot overflow a 32-bit int.
+const maxCells = engine.MaxReferenceBytes/8 - 2
+
+var maxSide = int(math.Sqrt(maxCells))
+
 // Validate checks the whole spec without compiling it. Every check a
 // compile target would panic on (workload constructor preconditions,
 // distribution parameters) is pre-checked here, which is what makes
@@ -459,22 +469,22 @@ func (s ScenarioSpec) validateWorkload() error {
 			return fmt.Errorf("spec: stream workload needs size ≥ 1 (got %d)", w.Size)
 		}
 	case "heat":
-		if w.Size < 3 {
-			return fmt.Errorf("spec: heat workload needs size ≥ 3 (got %d)", w.Size)
+		if w.Size < 3 || w.Size > maxCells {
+			return fmt.Errorf("spec: heat workload needs workload.size in [3, %d] (got %d)", maxCells, w.Size)
 		}
 		if !(w.Alpha > 0) || w.Alpha > 0.5 {
 			return fmt.Errorf("spec: heat workload needs alpha in (0, 0.5] (got %g)", w.Alpha)
 		}
 	case "heat2d":
-		if w.Size < 3 {
-			return fmt.Errorf("spec: heat2d workload needs size ≥ 3 (got %d)", w.Size)
+		if w.Size < 3 || w.Size > maxSide {
+			return fmt.Errorf("spec: heat2d workload needs workload.size in [3, %d] (got %d)", maxSide, w.Size)
 		}
 		if !(w.Alpha > 0) || w.Alpha > 0.25 {
 			return fmt.Errorf("spec: heat2d workload needs alpha in (0, 0.25] (got %g)", w.Alpha)
 		}
 	case "matvec":
-		if w.Size < 2 {
-			return fmt.Errorf("spec: matvec workload needs size ≥ 2 (got %d)", w.Size)
+		if w.Size < 2 || w.Size > maxCells {
+			return fmt.Errorf("spec: matvec workload needs workload.size in [2, %d] (got %d)", maxCells, w.Size)
 		}
 	default:
 		return fmt.Errorf("spec: workload kind must be one of %s (got %q)",
@@ -551,8 +561,8 @@ func (d DistSpec) validate(field string) error {
 }
 
 func (f FaultsSpec) validate() error {
-	if f.Nodes < 0 {
-		return fmt.Errorf("spec: faults.nodes must be ≥ 0 (got %d)", f.Nodes)
+	if f.Nodes < 0 || f.Nodes > engine.MaxNodes {
+		return fmt.Errorf("spec: faults.nodes must be in [0, %d] (got %d)", engine.MaxNodes, f.Nodes)
 	}
 	if f.Silent == nil && f.FailStop == nil && f.Correlation == nil {
 		return fmt.Errorf("spec: faults needs at least one of silent, failstop, correlation")

@@ -211,6 +211,46 @@ func TestPatternCountBound(t *testing.T) {
 	}
 }
 
+// Each state-sized bound accepts its limit and refuses one above it: a
+// heat or matvec state of 8·(cells+2) bytes, and a heat2d one of n² cells,
+// up to engine.MaxReferenceBytes; and up to engine.MaxNodes nodes.
+func TestWorkloadAndNodeBounds(t *testing.T) {
+	cells := engine.MaxReferenceBytes/8 - 2
+	side := 0
+	for (side+1)*(side+1) <= cells {
+		side++
+	}
+	if cells != 524286 || side != 724 {
+		t.Fatalf("bounds %d cells, heat2d side %d; want 524286 and 724", cells, side)
+	}
+	workload := func(kind string, size int) string {
+		return fmt.Sprintf(`"workload": {"kind": %q, "size": %d, "alpha": 0.25}, "faults": {"silent": {"dist": "exponential", "rate": 1e-3}}`, kind, size)
+	}
+	nodes := func(n int) string {
+		return fmt.Sprintf(`"faults": {"failstop": {"dist": "exponential", "rate": 1e-3}, "nodes": %d}`, n)
+	}
+	for _, c := range []struct {
+		field string
+		at    func(int) string
+		limit int
+	}{
+		{"workload.size", func(n int) string { return workload("heat", n) }, cells},
+		{"workload.size", func(n int) string { return workload("heat2d", n) }, side},
+		{"workload.size", func(n int) string { return workload("matvec", n) }, cells},
+		{"faults.nodes", nodes, engine.MaxNodes},
+	} {
+		doc := func(n int) []byte {
+			return []byte(`{"version": 1, "plan": {"w": 50, "sigma1": 0.4, "sigma2": 0.8}, "total_work": 500, ` + c.at(n) + `}`)
+		}
+		if _, err := spec.Parse(doc(c.limit)); err != nil {
+			t.Errorf("%s at the bound rejected: %v", c.at(c.limit), err)
+		}
+		if _, err := spec.Parse(doc(c.limit + 1)); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want a bound naming %s", c.at(c.limit+1), err, c.field)
+		}
+	}
+}
+
 func TestParseFileResolvesCSV(t *testing.T) {
 	dir := t.TempDir()
 	csv := "time_s,kind\n100,silent\n250,failstop\n400,silent\n"

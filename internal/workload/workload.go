@@ -49,7 +49,7 @@ type Workload interface {
 	Progress() float64
 	// State serializes the current state. The returned slice aliases
 	// internal storage and is invalidated by the next Advance; callers
-	// that need durability must copy (package ckpt does).
+	// that need durability must copy (the engine's checkpoints do).
 	State() []byte
 	// Restore replaces the state with a previously serialized snapshot.
 	Restore(state []byte) error
