@@ -2,14 +2,10 @@ package engine
 
 import "testing"
 
-// A checkpoint slot keeps its own copy of the committed state, refuses a
-// recovery before the first commit, and resets to empty.
-func TestSlotCommitRecoverReset(t *testing.T) {
+// A checkpoint slot keeps its own copy of the committed state: mutating
+// the source after the commit leaves the recovered bytes unchanged.
+func TestSlotCommitCopiesBytes(t *testing.T) {
 	var s slot
-	if _, _, err := s.recoverView(); err == nil {
-		t.Fatal("recover before any commit succeeded")
-	}
-
 	src := []byte("original")
 	s.commit(src, 3)
 	src[0] = 'X' // mutate the source after the commit
@@ -24,7 +20,20 @@ func TestSlotCommitRecoverReset(t *testing.T) {
 	if s.stats != want {
 		t.Errorf("stats %+v, want %+v", s.stats, want)
 	}
+}
 
+// An empty slot refuses a recovery, both before its first commit and
+// after a reset, which also zeroes its counters.
+func TestSlotRecoverEmpty(t *testing.T) {
+	var s slot
+	if _, _, err := s.recoverView(); err == nil {
+		t.Fatal("recover before any commit succeeded")
+	}
+	if s.stats != (CkptStats{}) {
+		t.Errorf("stats after a refused recover %+v, want zero", s.stats)
+	}
+
+	s.commit([]byte("original"), 3)
 	s.reset()
 	if _, _, err := s.recoverView(); err == nil {
 		t.Error("recover after reset succeeded")
