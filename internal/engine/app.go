@@ -120,9 +120,18 @@ type Report struct {
 // It stores the clean states, so a state equal to its entry passes
 // without a digest and only a differing one is digested, both sides, to
 // reach the detector's decision (above MaxReferenceBytes it stores
-// digests instead). Only partial verification keeps a live clean
-// replica, because its sampled windows compare raw bytes at segment
-// boundaries.
+// digests instead).
+//
+// The App steps the kernel only from a dirty state, one that differs
+// from its trajectory entry. Every attempt of the guaranteed path
+// starts clean, at the entry before its pattern, so against stored
+// states it replays the pattern's entry instead of stepping, and an
+// injected error corrupts those bytes as it would stepped ones. The
+// trajectory build checks the stored states against a second runner
+// (buildReference), the check per-attempt stepping used to make.
+// Digest trajectories, blind runs and partial verification step; only
+// the last keeps a live clean replica, because its sampled windows
+// compare raw bytes at segment boundaries.
 type App struct {
 	cfg  AppConfig
 	main *Runner
@@ -179,7 +188,17 @@ func NewApp(cfg AppConfig, wl *Runner) (*App, error) {
 	case cfg.Partial != nil:
 		x.replica = wl.clone()
 	case !cfg.SkipVerification:
-		x.ref = newReference(wl.clone(), cfg.Sizes, x.verifier.Detector())
+		// A clone steps the trajectory; wl itself is the second runner
+		// that checks it, and starts the run from its initial bytes.
+		init := append([]byte(nil), wl.state()...)
+		ref, err := buildReference(wl.clone(), wl, cfg.Sizes, x.verifier.Detector())
+		if err != nil {
+			return nil, err
+		}
+		if err := wl.restore(init); err != nil {
+			return nil, fmt.Errorf("engine: reset workload: %w", err)
+		}
+		x.ref = ref
 	}
 	return x, nil
 }
@@ -284,10 +303,21 @@ func (x *App) run() (Report, error) {
 			continue
 		}
 
-		// Advance the workload, then possibly corrupt its state. The
-		// verification below compares it with the clean reference — the
-		// "application-specific check" the paper abstracts as V.
-		x.main.advance(w)
+		// Bring the workload to the end of the pattern, then possibly
+		// corrupt its state. The verification below compares it with
+		// the clean reference — the "application-specific check" the
+		// paper abstracts as V. The attempt starts at the entry before
+		// pattern (a rollback restores a verified checkpoint, and an
+		// injected error that passes verification fails the run), so
+		// stepping would end at entry pattern: a stored entry is
+		// replayed instead.
+		if x.ref != nil && x.ref.stride > 0 {
+			if err := x.main.restore(x.ref.state(pattern)); err != nil {
+				return x.finish(), fmt.Errorf("engine: replay pattern %d: %w", pattern, err)
+			}
+		} else {
+			x.main.advance(w)
+		}
 		if out.Silent {
 			if err := x.injectSDC(); err != nil {
 				return x.finish(), err

@@ -164,23 +164,29 @@ func simulateShapeScenario() Scenario {
 	return sc
 }
 
-// BenchmarkReferenceBuild steps one clean reference trajectory of the
+// BenchmarkReferenceBuild builds one clean reference trajectory of the
 // simulate shape cold (100 patterns of heat2d 16×16, ≈202 KiB of
-// states), bypassing the process-wide memo: what a memo miss costs
-// once per key, and a fingerprint-less runner on every call.
+// states) and checks it against a second runner, bypassing the
+// process-wide memo: what a memo miss costs once per key, and a
+// fingerprint-less runner on every call, less the two clones.
 // Report-only.
 func BenchmarkReferenceBuild(b *testing.B) {
 	sc := simulateShapeScenario()
 	sizes := sc.patternSizes()
 	proto := sc.NewWorkload()
 	init := append([]byte(nil), proto.state()...)
-	wl := proto.Clone()
+	wl, second := proto.Clone(), proto.Clone()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := wl.restore(init); err != nil {
 			b.Fatal(err)
 		}
-		newReference(wl, sizes, detect.FNV64{})
+		if err := second.restore(init); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := buildReference(wl, second, sizes, detect.FNV64{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,11 +411,13 @@ func divergentRunner() *Runner {
 	return r
 }
 
-// TestOffReferenceRunFailsLoudly runs error-free Apps whose reference
-// (the guaranteed path's digests, the partial path's replica) comes
-// from a disagreeing clone. Every verification fails with no error
-// injected, which no retry can fix: the run must return an error, not
-// retry forever.
+// TestOffReferenceRunFailsLoudly builds error-free Apps whose reference
+// (the guaranteed path's trajectory, the partial path's replica) comes
+// from a disagreeing clone. No retry can fix that, so each must fail
+// within the guard instead of retrying forever: the guaranteed path at
+// NewApp, whose trajectory check steps the App's own workload beside
+// the clone, and the partial path in its run, where every verification
+// fails with no error injected.
 func TestOffReferenceRunFailsLoudly(t *testing.T) {
 	for name, partial := range map[string]*Partial{
 		"guaranteed": nil,
@@ -427,28 +430,38 @@ func TestOffReferenceRunFailsLoudly(t *testing.T) {
 			if partial != nil {
 				sampled = detect.NewSampledVerifier(nil, rngx.NewStream(1, "positions"), partial.Coverage)
 			}
-			x, err := NewApp(AppConfig{
-				Plan:     sc.Plan,
-				Verify:   sc.Costs.V,
-				Sizes:    sc.patternSizes(),
-				Faults:   NewAggregateFaults(0, 0, rngx.NewStream(1, "off-reference")),
-				Tier:     NewSingleLevel(sc.Costs.C, sc.Costs.R),
-				Recorder: NewMeterRecorder(sc.Model),
-				Partial:  partial,
-				Sampled:  sampled,
-			}, divergentRunner())
-			if err != nil {
-				t.Fatal(err)
+			type outcome struct {
+				built bool // NewApp succeeded
+				err   error
 			}
-			done := make(chan error, 1)
+			done := make(chan outcome, 1)
 			go func() {
-				_, err := x.Run()
-				done <- err
+				x, err := NewApp(AppConfig{
+					Plan:     sc.Plan,
+					Verify:   sc.Costs.V,
+					Sizes:    sc.patternSizes(),
+					Faults:   NewAggregateFaults(0, 0, rngx.NewStream(1, "off-reference")),
+					Tier:     NewSingleLevel(sc.Costs.C, sc.Costs.R),
+					Recorder: NewMeterRecorder(sc.Model),
+					Partial:  partial,
+					Sampled:  sampled,
+				}, divergentRunner())
+				if err != nil {
+					done <- outcome{false, err}
+					return
+				}
+				_, err = x.Run()
+				done <- outcome{true, err}
 			}()
 			select {
-			case err := <-done:
-				if err == nil {
+			case o := <-done:
+				switch {
+				case o.err == nil:
 					t.Fatal("a run that left its reference completed")
+				case partial == nil && (o.built || !strings.Contains(o.err.Error(), `workload "heat-64" left its clean trajectory at pattern 0`)):
+					t.Fatalf("the divergent clone passed the trajectory check (NewApp succeeded: %v): %v", o.built, o.err)
+				case partial != nil && !o.built:
+					t.Fatalf("NewApp refused a partial App, which builds no trajectory: %v", o.err)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("a run that left its reference is still retrying")

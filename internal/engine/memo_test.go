@@ -50,9 +50,9 @@ func (k *memoKernel) Clone() workload.Workload {
 	return &c
 }
 
-// memoScenario runs a fault-free scenario on a memoKernel, so every run
-// advances exactly once per pattern and any other advance is the
-// reference trajectory's.
+// memoScenario runs a fault-free scenario on a memoKernel. Its runs
+// replay the stored trajectory and advance nothing, so every advance is
+// a trajectory build's.
 func memoScenario(advances *atomic.Int64) Scenario {
 	sc := testScenario()
 	sc.Costs.LambdaS = 0
@@ -62,9 +62,9 @@ func memoScenario(advances *atomic.Int64) Scenario {
 	return sc
 }
 
-// drive runs sc once through every entry point and returns how many
-// runs that made: one Run, a 20-run fan-out, a chunk of 6 and a RunOn.
-func drive(t *testing.T, sc Scenario) (runs, calls int64) {
+// drive runs sc once through every entry point — one Run, a 20-run
+// fan-out, a chunk of 6 and a RunOn — and returns the number of calls.
+func drive(t *testing.T, sc Scenario) (calls int64) {
 	t.Helper()
 	if _, err := sc.Run(1); err != nil {
 		t.Fatal(err)
@@ -78,26 +78,26 @@ func drive(t *testing.T, sc Scenario) (runs, calls int64) {
 	if _, err := sc.RunOn(rngx.NewStream(4, "memo")); err != nil {
 		t.Fatal(err)
 	}
-	return 1 + 20 + 6 + 1, 4
+	return 4
 }
 
-// TestReferenceMemoStepsOnce: across Run, RunOn, ReplicateScenario and
-// ReplicateScenarioChunkValidatedCtx calls, a fingerprinted kernel's
-// trajectory is stepped once, while the same kernel behind a
-// fingerprint-less runner is stepped once per call.
+// TestReferenceMemoStepsOnce counts trajectory builds: across Run,
+// RunOn, ReplicateScenario and ReplicateScenarioChunkValidatedCtx
+// calls, a fingerprinted kernel's trajectory is built once per process,
+// while the same kernel behind a fingerprint-less runner is built once
+// per call. A build advances 2 × patterns times (the trajectory, then
+// its check); the runs replay it and advance 0 times.
 func TestReferenceMemoStepsOnce(t *testing.T) {
 	flushReferenceMemo()
 	var advances atomic.Int64
 	sc := memoScenario(&advances)
-	patterns := int64(len(sc.patternSizes()))
-	var runs int64
+	build := 2 * int64(len(sc.patternSizes()))
+	var calls int64
 	for round := 0; round < 2; round++ {
-		r, _ := drive(t, sc)
-		runs += r
+		calls += drive(t, sc)
 	}
-	if got, want := advances.Load(), (runs+1)*patterns; got != want {
-		t.Fatalf("%d runs of %d patterns advanced %d times, want %d: the trajectory was stepped %d times, want once",
-			runs, patterns, got, want, got/patterns-runs)
+	if got := advances.Load(); got != build {
+		t.Fatalf("%d calls advanced %d times, want %d: one build of %d advances, and no advance in a run", calls, got, build, build)
 	}
 
 	advances.Store(0)
@@ -106,9 +106,9 @@ func TestReferenceMemoStepsOnce(t *testing.T) {
 		w := witnessed()
 		return NewRunner(w.name, w.advanceFn, w.progress, w.stateFn, w.restoreFn, w.clone)
 	}
-	runs, calls := drive(t, sc)
-	if got, want := advances.Load(), (runs+calls)*patterns; got != want {
-		t.Fatalf("fingerprint-less runner: %d runs in %d calls advanced %d times, want %d (one trajectory per call)", runs, calls, got, want)
+	calls = drive(t, sc)
+	if got, want := advances.Load(), calls*build; got != want {
+		t.Fatalf("fingerprint-less runner: %d calls advanced %d times, want %d (one build per call, no advance in a run)", calls, got, want)
 	}
 }
 
@@ -241,10 +241,12 @@ func TestReferenceMemoFingerprintlessRunners(t *testing.T) {
 
 // TestReferenceMemoBudget: the memo never holds more than
 // referenceMemoBytes. An entry that would cross the bound evicts
-// everything first, and one larger than the bound is never held.
+// everything first, and ReferenceMemoStats counts the entries evicted
+// and the bytes held; an entry larger than the bound is never held.
 func TestReferenceMemoBudget(t *testing.T) {
 	flushReferenceMemo()
 	defer flushReferenceMemo()
+	before := ReferenceMemoStats()
 	sizes := PatternSizes(100, 1)
 	const stride = MaxReferenceBytes / 100
 	fit := 0 // entries the budget holds at once
@@ -273,6 +275,11 @@ func TestReferenceMemoBudget(t *testing.T) {
 		}
 		if want := i%fit + 1; n != want {
 			t.Fatalf("entry %d: %d entries held, want %d", i, n, want)
+		}
+		st := ReferenceMemoStats()
+		if evicted := uint64(i / fit * fit); st.Evictions-before.Evictions != evicted || st.Bytes != held {
+			t.Fatalf("entry %d: stats count %d evictions and %d bytes, want %d and %d",
+				i, st.Evictions-before.Evictions, st.Bytes, evicted, held)
 		}
 	}
 

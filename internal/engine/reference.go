@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"hash/maphash"
 	"math"
 	"reflect"
@@ -31,6 +33,29 @@ type reference struct {
 	states  []byte
 	stride  int // bytes per stored state; 0 when the trajectory is digests
 	digests []detect.Digest
+}
+
+// buildReference steps wl through sizes into a trajectory, then checks
+// a stored one against second, an independent runner at the same
+// initial state. Runs replay a stored trajectory instead of stepping,
+// so this check is what stepping in every attempt used to prove: that
+// the workload's runners step alike. A clone that steps other physics,
+// shares its original's memory or reads state shared across clones
+// fails the build at the first pattern whose bytes differ. A digest
+// trajectory is not checked: its runs step, and one that leaves it
+// fails a verification with no error injected.
+func buildReference(wl, second *Runner, sizes []float64, det detect.Detector) (*reference, error) {
+	r := newReference(wl, sizes, det)
+	if r.stride == 0 {
+		return r, nil
+	}
+	for k, w := range sizes {
+		second.advance(w)
+		if !bytes.Equal(second.state(), r.state(k)) {
+			return nil, fmt.Errorf("engine: workload %q left its clean trajectory at pattern %d: two runners from one initial state stepped to different bytes", wl.name, k)
+		}
+	}
+	return r, nil
 }
 
 // newReference steps wl through sizes, one advance per pattern — the
@@ -92,12 +117,33 @@ const MaxPatterns = referenceMemoBytes / 16
 // stepped, once per process per key: a trajectory is a pure function
 // of the workload (its witness), the pattern sizes and, for the digest
 // form only, the detector. Entries chain under a hash of the workload
-// and the sizes, and a lookup compares those in full.
+// and the sizes, and a lookup compares those in full. The counters
+// read out by ReferenceMemoStats are kept under the same lock.
 var referenceMemo struct {
 	sync.Mutex
 	seed    maphash.Seed
 	entries map[uint64][]*memoEntry
 	bytes   int
+
+	hits, misses, evictions uint64
+}
+
+// MemoStats counts, since the process started, the trajectory memo's
+// lookups that found their trajectory (Hits) or went on to build one
+// (Misses) and the entries it dropped when it emptied itself to make
+// room (Evictions); Bytes is what it holds now, keys included.
+type MemoStats struct {
+	Hits, Misses, Evictions uint64
+	Bytes                   int
+}
+
+// ReferenceMemoStats reads the memo's counters. They are process-wide:
+// every scenario call in the process shares the memo.
+func ReferenceMemoStats() MemoStats {
+	referenceMemo.Lock()
+	defer referenceMemo.Unlock()
+	return MemoStats{Hits: referenceMemo.hits, Misses: referenceMemo.misses,
+		Evictions: referenceMemo.evictions, Bytes: referenceMemo.bytes}
 }
 
 func init() { referenceMemo.seed = maphash.MakeSeed() }
@@ -151,9 +197,11 @@ func lookupReference(h uint64, wl *workloadID, sizes []float64, det detect.Detec
 	defer referenceMemo.Unlock()
 	for _, e := range referenceMemo.entries[h] {
 		if e.matches(wl, sizes, det) {
+			referenceMemo.hits++
 			return e.ref
 		}
 	}
+	referenceMemo.misses++
 	return nil
 }
 
@@ -182,6 +230,9 @@ func storeReference(h uint64, wl *workloadID, sizes []float64, det detect.Detect
 		}
 	}
 	if referenceMemo.entries == nil || referenceMemo.bytes+size > referenceMemoBytes {
+		for _, chain := range referenceMemo.entries {
+			referenceMemo.evictions += uint64(len(chain))
+		}
 		referenceMemo.entries = make(map[uint64][]*memoEntry)
 		referenceMemo.bytes = 0
 	}

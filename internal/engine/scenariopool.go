@@ -12,15 +12,18 @@ import (
 // This file is the one place a Scenario run is assembled: Run, RunOn
 // and every replication build a campaign (the pieces shared by all of
 // its runs, including the clean reference trajectory every run
-// verifies against, which the process steps once per workload and
-// pattern sequence), take a scratch of per-run pieces from a
+// verifies against and, when it stores states, replays instead of
+// stepping; the process steps it once per workload and pattern
+// sequence, and checks it against a second clone of the prototype
+// before any run reads it), take a scratch of per-run pieces from a
 // sync.Pool, and reset each component in place to the exact state a
 // fresh construction would have: every fault process, renewal channels
-// included, reseeds its streams in place. Building the whole App fresh per run — workload
-// pair, fault process, checkpoint tier, meter, verifier — costs ~2.4k
-// allocations per 50-run estimate. The executions are bit-identical to
-// that fresh construction, which the tests keep as their reference and
-// replay against the pooled runs, reports compared byte for byte.
+// included, reseeds its streams in place. Building the whole App fresh
+// per run — workload pair, fault process, checkpoint tier, meter,
+// verifier — costs ~2.4k allocations per 50-run estimate. The
+// executions are bit-identical to that fresh construction, which the
+// tests keep as their reference and replay against the pooled runs,
+// reports compared byte for byte.
 
 // scenarioCampaign is the shared context of a pooled scenario call:
 // the validated scenario (trace hooks already cleared), its precomputed
@@ -70,10 +73,13 @@ func newScenarioCampaign(sc Scenario) (*scenarioCampaign, error) {
 }
 
 // reference returns the campaign's clean trajectory: the one
-// referenceMemo holds for its key, or one stepped from the initial
-// state on a pooled scratch workload. Only a witnessed workload is
-// memoized; a fingerprint-less one (a NewRunner fake) gets a trajectory
-// of its own on every call.
+// referenceMemo holds for its key, or one stepped on a clone of the
+// prototype and checked against a second clone (buildReference). Both
+// are fresh: a scratch's cached workload is a clone of an earlier
+// prototype, and the check would not see clones that share memory with
+// this one. Only a witnessed workload is memoized, and only once its
+// check passed; a fingerprint-less one (a NewRunner fake) gets a
+// trajectory of its own on every call.
 func (c *scenarioCampaign) reference() (*reference, error) {
 	det := detect.OrDefault(c.sc.Detector)
 	var h uint64
@@ -83,12 +89,10 @@ func (c *scenarioCampaign) reference() (*reference, error) {
 			return r, nil
 		}
 	}
-	s := getScratch(c)
-	defer putScratch(s)
-	if err := s.main.restore(c.wl.state); err != nil {
-		return nil, fmt.Errorf("engine: reset reference workload: %w", err)
+	r, err := buildReference(c.proto.Clone(), c.proto.Clone(), c.sizes, det)
+	if err != nil {
+		return nil, err
 	}
-	r := newReference(s.main, c.sizes, det)
 	if c.wl.ok {
 		r = storeReference(h, &c.wl, c.sizes, det, r)
 	}

@@ -97,6 +97,21 @@ func (s *Server) initObs() {
 	r.NewCounterFunc("respeed_traces_total",
 		"Root request traces recorded (the /debug/traces ring retains the newest).",
 		func() float64 { return float64(s.tracer.Total()) })
+	// The clean-trajectory memo is process-wide, so these four series
+	// count every scenario call in the process, whichever server (or
+	// jobs shard, or fleet worker) made it.
+	r.NewCounterFunc("respeed_engine_reference_memo_hits_total",
+		"Scenario calls that found their clean reference trajectory in the process-wide memo.",
+		func() float64 { return float64(engine.ReferenceMemoStats().Hits) })
+	r.NewCounterFunc("respeed_engine_reference_memo_misses_total",
+		"Scenario calls that built their clean reference trajectory: the process-wide memo did not hold it.",
+		func() float64 { return float64(engine.ReferenceMemoStats().Misses) })
+	r.NewCounterFunc("respeed_engine_reference_memo_evictions_total",
+		"Trajectories the process-wide memo dropped when it emptied itself to make room.",
+		func() float64 { return float64(engine.ReferenceMemoStats().Evictions) })
+	r.NewGaugeFunc("respeed_engine_reference_memo_bytes",
+		"Bytes the process-wide trajectory memo holds, keys included.",
+		func() float64 { return float64(engine.ReferenceMemoStats().Bytes) })
 	// Edge-QoS series: admission verdicts plus per-lane occupancy,
 	// exported read-time off the lanes' atomic counters.
 	s.admitAdmitted = r.NewCounter("respeed_admit_admitted_total",

@@ -157,6 +157,54 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestReferenceMemoSeries posts one spec twice, under two seeds so the
+// response cache misses both times. The first request builds the spec's
+// clean trajectory (a memo miss); the second finds it (a hit, no new
+// miss). The four memo series are process-wide, so the test reads their
+// deltas, and the exposition carrying them still parses strictly.
+func TestReferenceMemoSeries(t *testing.T) {
+	ts := httptest.NewServer(New(Options{Registry: obs.NewRegistry()}).Handler())
+	t.Cleanup(ts.Close)
+	memo := func() (hits, misses, bytes float64) {
+		t.Helper()
+		_, body := scrape(t, ts.URL, false)
+		exp, err := obs.ParseExposition(body)
+		if err != nil {
+			t.Fatalf("exposition invalid: %v\n%s", err, body)
+		}
+		read := func(name string) float64 {
+			v, err := exp.Value(name, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		read("respeed_engine_reference_memo_evictions_total")
+		return read("respeed_engine_reference_memo_hits_total"), read("respeed_engine_reference_memo_misses_total"),
+			read("respeed_engine_reference_memo_bytes")
+	}
+	// A workload no other test of the package runs, so its key is cold.
+	doc := []byte(`{"version":1,"name":"memo-series","plan":{"w":50,"sigma1":0.4,"sigma2":0.8},"total_work":450,` +
+		`"workload":{"kind":"heat","size":40,"alpha":0.3},"faults":{"silent":{"dist":"exponential","rate":2e-3}}}`)
+	post := func(seed string) {
+		t.Helper()
+		if code, body := postBody(t, ts.URL+"/v1/simulate?config=Hera%2FXScale&n=2&seed="+seed, doc); code != http.StatusOK {
+			t.Fatalf("POST spec: %d\n%s", code, body)
+		}
+	}
+	hits0, misses0, _ := memo()
+	post("1")
+	hits1, misses1, bytes1 := memo()
+	if misses1 < misses0+1 || bytes1 <= 0 {
+		t.Fatalf("first request: misses %g -> %g, %g bytes held; want a miss and a held trajectory", misses0, misses1, bytes1)
+	}
+	post("2")
+	hits2, misses2, _ := memo()
+	if misses2 != misses1 || hits2 <= hits1 {
+		t.Fatalf("second request: misses %g -> %g, hits %g -> %g (from %g); want hits only", misses1, misses2, hits1, hits2, hits0)
+	}
+}
+
 // TestRequestIDsAndDebugTraces: the middleware accepts or assigns
 // X-Request-ID and records root spans in the /debug/traces ring.
 func TestRequestIDsAndDebugTraces(t *testing.T) {
